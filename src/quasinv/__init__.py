@@ -18,6 +18,7 @@ from .errors import (
     InvalidMap,
     NotAP2Solution,
     NotNatDomain,
+    OrbitTooLong,
     OutOfDomain,
     ParseError,
     ProfileInvalid,

@@ -1,7 +1,8 @@
 """Command-line front end: analyze, classify, solve, verify, export.
 
 Exit codes: 0 when the query succeeds or the property holds, 1 when it fails
-or the construction is absent, 2 on malformed input.
+or the construction is absent, 2 on malformed input or a typed library error
+(such as an orbit too long to list).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import psolve as psolve_mod
 from . import quasi as quasi_mod
 from . import supersets as supersets_mod
 from .errors import InfiniteOrbitError, QuasinvError
-from .selfmap import NAMED_MAPS, SelfMap, named_map, parse_map
+from .selfmap import NAMED_MAPS, FiniteTable, SelfMap, named_map, parse_map
 
 DEFAULT_WINDOW = 200
 
@@ -92,7 +93,7 @@ def _cmd_qi(args) -> int:
 
 def _cmd_classify(args) -> int:
     sm = _load_map(args.map)
-    top = sm.size if hasattr(sm, "table") else 4
+    top = sm.size if isinstance(sm, FiniteTable) else 4
     if args.subsets:
         res = classify_mod.classify_subsets_1qi(sm)
         if res is None:
@@ -146,7 +147,7 @@ def _cmd_solve(args) -> int:
         print("absent")
         return 1
     print(f"present ({sol.description})")
-    top = sm.size - 1 if hasattr(sm, "table") else 5
+    top = sm.size - 1 if isinstance(sm, FiniteTable) else 5
     samples = [(0,), (0, min(1, top)), (min(2, top), min(5, top))]
     for sample in dict.fromkeys(tuple(sorted(set(s))) for s in samples):
         g = sol.G(sample)
@@ -179,7 +180,7 @@ def _cmd_export_dot(args) -> int:
     sm = _load_map(args.map)
     w = _window(args)
     lines = ["digraph selfmap {"]
-    if hasattr(sm, "table"):
+    if isinstance(sm, FiniteTable):
         for x in range(sm.size):
             lines.append(f"  {x} -> {sm(x)};")
     else:

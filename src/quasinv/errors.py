@@ -51,3 +51,7 @@ class BoundTooLarge(QuasinvError):
 
 class ConfigError(QuasinvError):
     """A verification-suite configuration is inconsistent."""
+
+
+class OrbitTooLong(QuasinvError):
+    """Listing an orbit point by point would exceed ``orbits.MAX_LISTED_POINTS``."""

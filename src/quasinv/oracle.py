@@ -785,12 +785,13 @@ def _check_p1_structure(cfg: SuiteConfig) -> _Recorder:
         fins = [a for a in range(9) if orbits_mod.orbit_profile(sm, a).finite]
         for a in fins[:4]:
             prof = orbits_mod.orbit_profile(sm, a)
-            for v in prof.seq[:3]:
-                seg = set(prof.seq[: prof.hitting(v) + 1])
+            pts = prof.points()
+            for v in pts[:3]:
+                seg = set(pts[: prof.hitting(v) + 1])
                 for b in fins[:3]:
                     if v in orbits_mod.orbit_profile(sm, b):
                         continue
-                    g = seg | set(orbits_mod.orbit_profile(sm, b).seq)
+                    g = seg | set(orbits_mod.orbit_profile(sm, b).points())
                     rec.check(
                         psolve_mod.check_P("P1", sm, g, v, (a, b)), sm, g=sorted(g), v=v
                     )

@@ -16,15 +16,13 @@ arithmetic on those cycles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import OutOfDomain
+from .errors import OrbitTooLong, OutOfDomain
 from .selfmap import DescribedNatMap, FiniteTable, SelfMap
-
-# simulation guard; orbit walks are proven to terminate well below this
-_MAX_STEPS = 1_000_000
-
 
 # ---------------------------------------------------------------------------
 # Residue structure of a described map's tail
@@ -109,28 +107,38 @@ def tail_structure(sm: DescribedNatMap) -> TailStructure:
     return TailStructure(tuple(cycles), tuple(cycle_of), tuple(dist))
 
 
-@lru_cache(maxsize=None)
-def _cycle_sums(sm: DescribedNatMap, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For an on-cycle residue r: (residues from r, partial sums S_0..S_L).
+class CyclePhases(NamedTuple):
+    """One period of a residue cycle, started at one of its residues.
 
-    S_0 = 0 and S_L equals the drift; intermediate values are the height
-    offsets while traversing one period starting at r.
+    Phase q of the period is at residue ``residues[q]``, at height offset
+    ``sums[q]`` from the period's first point (``sums[0] == 0``); a whole
+    period changes the height by ``drift``.
     """
+
+    residues: tuple[int, ...]
+    sums: tuple[int, ...]
+    phase_of: dict[int, int]  # residue -> phase
+    drift: int
+    modulus: int
+
+
+@lru_cache(maxsize=None)
+def cycle_phases(sm: DescribedNatMap) -> tuple[CyclePhases | None, ...]:
+    """Per residue: the phases of one period from it when it lies on a
+    cycle of the residue map, else None."""
     ts = tail_structure(sm)
-    assert ts.on_cycle(r)
-    cyc = ts.fate(r)
-    k = cyc.residues.index(r)
-    ordered = cyc.residues[k:] + cyc.residues[:k]
-    sums = [0]
-    for q in ordered:
-        sums.append(sums[-1] + sm.shifts[q])
-    return ordered, tuple(sums)
-
-
-def _min_dip(sm: DescribedNatMap, r: int) -> int:
-    """Lowest height offset reached during one period starting at residue r."""
-    _, sums = _cycle_sums(sm, r)
-    return min(sums)
+    out: list[CyclePhases | None] = []
+    for r in range(sm.modulus):
+        if not ts.on_cycle(r):
+            out.append(None)
+            continue
+        cyc = ts.fate(r)
+        k = cyc.residues.index(r)
+        ordered = cyc.residues[k:] + cyc.residues[:k]
+        sums = tuple(itertools.accumulate((sm.shifts[q] for q in ordered[:-1]), initial=0))
+        phase_of = {q: i for i, q in enumerate(ordered)}
+        out.append(CyclePhases(ordered, sums, phase_of, cyc.drift, sm.modulus))
+    return tuple(out)
 
 
 def shift_magnitude(sm: DescribedNatMap) -> int:
@@ -193,128 +201,238 @@ class OrbitResult:
         return self.tail + self.cycle
 
 
+# Listing an orbit point by point stops above this many points.  At the
+# limit, orbit() of prefix [0], shift -1 peaks at 0.55 GB resident (Python 3.11):
+# the points, the listed tuple and the tail sliced from it.
+MAX_LISTED_POINTS = 10**7
+
+
+class _Run(NamedTuple):
+    """A stretch of an orbit that follows one residue cycle above the prefix.
+
+    The point at step ``base + q + j * period`` is ``v0 + sums[q] + j * drift``
+    for each phase q of ``phases``; the run covers ``count`` steps, or every
+    later step when ``count`` is None (the tail of an infinite orbit).
+    """
+
+    base: int
+    v0: int
+    phases: CyclePhases
+    count: int | None
+
+    def at(self, t: int) -> int:
+        ph = self.phases
+        j, q = divmod(t, len(ph.sums))
+        return self.v0 + ph.sums[q] + j * ph.drift
+
+    def step_of(self, y: int) -> int | None:
+        """The t >= 0 with ``at(t) == y``, or None; ``count`` is not checked."""
+        ph = self.phases
+        q = ph.phase_of.get(y % ph.modulus)
+        if q is None:
+            return None
+        j, rem = divmod(y - self.v0 - ph.sums[q], ph.drift)
+        if rem or j < 0:
+            return None
+        return q + j * len(ph.sums)
+
+    def listed(self) -> list[int]:
+        sums, drift = self.phases.sums, self.phases.drift
+        period = len(sums)
+        out = [0] * self.count
+        for q, s in enumerate(sums):
+            n = len(range(q, self.count, period))
+            out[q::period] = range(self.v0 + s, self.v0 + s + n * drift, drift)
+        return out
+
+
 class OrbitProfile:
     """Full description of one forward orbit, exact membership included.
 
-    Finite orbits store the whole point sequence.  Infinite orbits store the
-    pre-periodic points plus the asymptotic part: from ``entry`` onward the
-    orbit is ``entry + S_q + k * drift`` for each phase q of the locked
-    residue cycle, so membership reduces to a congruence test.
+    The orbit is kept as segments in step order.  Points walked one at a
+    time are in ``seq``, and ``_index`` maps each to its step.  The rest are
+    arithmetic runs (``runs``): above the prefix a trajectory moves by whole
+    periods of its residue cycle, so a descent along a negative-drift cycle
+    is one run for as many whole periods as stay above the prefix, and an
+    infinite orbit ends in an unbounded run along a positive-drift cycle.
+    Each descent ends below the prefix, at a prefix point the orbit has not
+    visited before, or where the orbit closes, so there are D <= prefix_len
+    + 1 of them and W = O(prefix_len * m * c) walked points.  Each walked
+    point is tested against every run and each descent against every walked
+    point and run top, so a profile costs O(W * D) = O(prefix_len^2 * m * c)
+    whatever the start value.  Membership, hitting times and the k-th point
+    are range and congruence tests.
     """
 
     def __init__(self, sm: SelfMap, start: int):
         self.sm = sm
         self.start = start
         self.finite: bool
-        self.seq: tuple[int, ...]  # finite: whole orbit; infinite: pre-entry part
+        self.seq: tuple[int, ...]  # the points walked one at a time
+        self.runs: tuple[_Run, ...] = ()
+        self.tail_run: _Run | None = None  # infinite orbits: the last, unbounded run
+        self.length: int  # finite: number of points; infinite: steps before the tail
         self.mu: int | None = None  # finite: tail length
-        self.entry: int | None = None
-        self.phase_sums: tuple[int, ...] | None = None
-        self.phase_residues: tuple[int, ...] | None = None
-        self.drift: int | None = None
+        self._index: dict[int, int] = {}
         self._walk(sm, start)
-        self._index = {p: i for i, p in enumerate(self.seq)}
-        if not self.finite:
-            self._phase_of = {r: q for q, r in enumerate(self.phase_residues)}
 
     def _walk(self, sm: SelfMap, start: int) -> None:
         seq: list[int] = []
-        index: dict[int, int] = {}
+        index = self._index
         nat = isinstance(sm, DescribedNatMap)
         if nat:
-            ts = tail_structure(sm)
-            n0 = sm.prefix_len
-        x = start
-        for _ in range(_MAX_STEPS):
-            if x in index:
-                self.finite = True
-                self.mu = index[x]
-                self.seq = tuple(seq)
-                return
-            if nat and x >= n0:
-                r = x % sm.modulus
-                if ts.on_cycle(r) and ts.fate(r).drift > 0 and x + _min_dip(sm, r) >= n0:
-                    residues, sums = _cycle_sums(sm, r)
-                    self.finite = False
-                    self.seq = tuple(seq)
-                    self.entry = x
-                    self.phase_residues = residues
-                    self.phase_sums = sums[:-1]
-                    self.drift = sums[-1]
-                    return
-            index[x] = len(seq)
+            phases, n0 = cycle_phases(sm), sm.prefix_len
+        x, k = start, 0  # x is the point at step k
+        while True:
+            i = index.get(x)
+            if i is None and self.runs:
+                i = self.hitting(x)
+            if i is not None:
+                self.finite, self.mu, self.length = True, i, k
+                break
+            ph = phases[x % sm.modulus] if nat and x >= n0 else None
+            if ph is not None and ph.drift > 0 and x + min(ph.sums) >= n0:
+                self.tail_run = _Run(k, x, ph, None)
+                self.runs += (self.tail_run,)
+                self.finite, self.length = False, k
+                break
+            if ph is not None and ph.drift < 0:
+                run = self._descent(_Run(k, x, ph, None), n0, seq)
+                if run is not None:
+                    self.runs += (run,)
+                    x, k = run.at(run.count), k + run.count
+                    continue
+            index[x] = k
             seq.append(x)
+            k += 1
             x = sm(x)
-        raise RuntimeError("orbit walk did not settle; map violates representability bounds")
+        self.seq = tuple(seq)
+
+    def _descent(self, run: _Run, n0: int, seq: list[int]) -> _Run | None:
+        """The descent from ``run.v0`` as a run, or None when it would not
+        stay above the prefix for one whole period.
+
+        The run takes the whole periods that stay at or above the prefix, and
+        stops where it would meet a point already on the orbit.  The first
+        such point is a walked one or the top of an earlier run: within a
+        residue cycle each residue has one predecessor, and the shift rule
+        is injective on a residue class.
+        """
+        ph = run.phases
+        low = run.v0 + min(ph.sums)
+        if low < n0:
+            return None
+        count = ((low - n0) // -ph.drift + 1) * len(ph.sums)
+        for p in itertools.chain(seq, (r.v0 for r in self.runs)):
+            t = run.step_of(p)
+            if t is not None:
+                count = min(count, t)
+        return run._replace(count=count)
 
     # -- queries ------------------------------------------------------------
 
     def hitting(self, y: int) -> int | None:
         """Least k with iterate(start, k) == y, or None when unreachable."""
         i = self._index.get(y)
-        if i is not None:
+        if i is not None or not self.runs:
             return i
-        if self.finite:
-            return None
-        q = self._phase_of.get(y % self.sm.modulus)
-        if q is None:
-            return None
-        v0 = self.entry + self.phase_sums[q]
-        if y < v0 or (y - v0) % self.drift:
-            return None
-        k = (y - v0) // self.drift
-        return len(self.seq) + q + k * len(self.phase_residues)
+        # _Run.step_of inlined: hitting is the hot path (1.4M calls on the
+        # benchmark's period-1260 map), where the call cost about 6%
+        for run in self.runs:
+            ph = run.phases
+            q = ph.phase_of.get(y % ph.modulus)
+            if q is None:
+                continue
+            j, rem = divmod(y - run.v0 - ph.sums[q], ph.drift)
+            t = q + j * len(ph.sums)
+            if not rem and j >= 0 and (run.count is None or t < run.count):
+                return run.base + t
+        return None
 
     def __contains__(self, y: int) -> bool:
         return self.hitting(y) is not None
 
     def point_at(self, k: int) -> int:
-        if k < len(self.seq):
+        if self.finite and k >= self.length:
+            k = self.mu + (k - self.mu) % (self.length - self.mu)
+        if not self.runs or k < self.runs[0].base:
             return self.seq[k]
-        if self.finite:
-            u = self.mu
-            v = len(self.seq) - u
-            return self.seq[u + (k - u) % v]
-        j = k - len(self.seq)
-        q, periods = j % len(self.phase_residues), j // len(self.phase_residues)
-        return self.entry + self.phase_sums[q] + periods * self.drift
+        walked = k  # index into seq once the runs before step k are skipped
+        for run in self.runs:
+            if k < run.base:
+                break
+            if run.count is None or k - run.base < run.count:
+                return run.at(k - run.base)
+            walked -= run.count
+        return self.seq[walked]
+
+    def points(self) -> tuple[int, ...]:
+        """The orbit's points in step order; for an infinite orbit, those
+        before its tail.
+
+        Raises OrbitTooLong above MAX_LISTED_POINTS points.
+        """
+        if len(self.seq) == self.length:
+            return self.seq
+        if self.length > MAX_LISTED_POINTS:
+            raise OrbitTooLong(
+                f"orbit of {self.start} has {self.length} points to list, "
+                f"more than the limit of {MAX_LISTED_POINTS}"
+            )
+        out: list[int] = []
+        walked = 0
+        for run in self.runs:
+            if run.count is None:
+                break
+            take = run.base - len(out)
+            out += self.seq[walked : walked + take]
+            walked += take
+            out += run.listed()
+        out += self.seq[walked:]
+        return tuple(out)
+
+    def max_point(self) -> int:
+        """Largest point of a finite orbit; for an infinite one, the largest
+        before the first period of the tail ends."""
+        top = max(self.seq, default=0)
+        for run in self.runs:
+            top = max(top, run.v0 + max(run.phases.sums[: run.count]))
+        return top
 
     def points_upto(self, bound: int) -> frozenset[int]:
         """All orbit points with value <= bound (exact, not step-count-bounded)."""
         pts = {p for p in self.seq if p <= bound}
-        if not self.finite:
-            for s in self.phase_sums:
-                v = self.entry + s
-                while v <= bound:
-                    pts.add(v)
-                    v += self.drift
+        for run in self.runs:
+            sums, drift = run.phases.sums, run.phases.drift
+            for q, s in enumerate(sums):
+                top = run.v0 + s
+                if run.count is None:
+                    pts.update(range(top, bound + 1, drift))
+                    continue
+                n = len(range(q, run.count, len(sums)))
+                if n:  # a descent: its lowest point in this phase first
+                    pts.update(range(top + (n - 1) * drift, min(top, bound) + 1, -drift))
         return frozenset(pts)
 
     def cycle_residue_set(self) -> frozenset[int]:
         assert not self.finite
-        return frozenset(self.phase_residues)
+        return frozenset(self.tail_run.phases.residues)
 
     def first_value_at_residue(self, r: int) -> int | None:
         assert not self.finite
-        q = self._phase_of.get(r)
-        if q is None:
-            return None
-        return self.entry + self.phase_sums[q]
+        q = self.tail_run.phases.phase_of.get(r)
+        return None if q is None else self.tail_run.v0 + self.tail_run.phases.sums[q]
 
     def asymptotic_threshold(self) -> int:
         """Every class-covered point at or above this value is in the orbit."""
         assert not self.finite
-        return max(self.entry + s for s in self.phase_sums)
-
-    def covers_class_fully(self, r: int) -> bool:
-        """True when the orbit eventually contains every natural == r (mod m)."""
-        assert not self.finite
-        return r in self._phase_of and self.drift == self.sm.modulus
+        return self.tail_run.v0 + max(self.tail_run.phases.sums)
 
     def is_cofinite(self) -> bool:
         if self.finite:
             return False
-        return len(self.phase_residues) == self.sm.modulus and self.drift == self.sm.modulus
+        ph = self.tail_run.phases
+        return len(ph.residues) == self.sm.modulus and ph.drift == self.sm.modulus
 
 
 @lru_cache(maxsize=None)
@@ -327,17 +445,20 @@ def orbit_profile(sm: SelfMap, x: int) -> OrbitProfile:
 
 
 def orbit(sm: SelfMap, x: int) -> OrbitResult:
-    """Tail/cycle decomposition of the orbit of x, or an infinitude certificate."""
+    """Tail/cycle decomposition of the orbit of x, or an infinitude certificate.
+
+    Every link of a finite orbit is checked against the map, so the listing
+    raises OrbitTooLong above MAX_LISTED_POINTS points.
+    """
     prof = orbit_profile(sm, x)
     if prof.finite:
-        tail, cycle = prof.seq[: prof.mu], prof.seq[prof.mu :]
-        for i, p in enumerate(tail):
-            nxt = tail[i + 1] if i + 1 < len(tail) else cycle[0]
+        pts = prof.points()
+        for p, nxt in zip(pts, itertools.islice(pts, 1, None)):
             assert sm(p) == nxt
-        for i, p in enumerate(cycle):
-            assert sm(p) == cycle[(i + 1) % len(cycle)]
-        return OrbitResult(tail=tail, cycle=cycle)
-    cert = DriftCertificate(prof.entry, prof.phase_residues, prof.drift)
+        assert sm(pts[-1]) == pts[prof.mu]
+        return OrbitResult(tail=pts[: prof.mu], cycle=pts[prof.mu :])
+    tail = prof.tail_run
+    cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
     cert.validate(sm)
     return OrbitResult(certificate=cert)
 
@@ -345,10 +466,6 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
 def hitting_time(sm: SelfMap, x: int, y: int) -> int | None:
     """Least n with iterate(x, n) == y, or None when y is not on the orbit."""
     return orbit_profile(sm, x).hitting(y)
-
-
-def orbit_is_finite(sm: SelfMap, x: int) -> bool:
-    return orbit_profile(sm, x).finite
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +485,7 @@ def orbits_intersect(sm: SelfMap, a: int, b: int) -> tuple[int, int, int] | None
         # orbit of infinite-orbit points only; no overlap is possible
         return None
     if pa.finite:
-        common = set(pa.seq) & set(pb.seq)
+        common = set(pa.points()) & set(pb.points())
         if not common:
             return None
         best = min(common, key=lambda z: (pa.hitting(z) + pb.hitting(z), z))
@@ -382,17 +499,18 @@ def orbits_intersect(sm: SelfMap, a: int, b: int) -> tuple[int, int, int] | None
 def _pair_meet(pa: OrbitProfile, pb: OrbitProfile) -> int | None:
     """Earliest common point of two infinite orbits (None when disjoint)."""
     candidates: list[int] = []
-    for p in pa.seq:
+    for p in pa.points():
         if p in pb:
             candidates.append(p)
             break
-    for p in pb.seq:
+    for p in pb.points():
         if p in pa:
             candidates.append(p)
             break
     if pa.cycle_residue_set() == pb.cycle_residue_set():
-        d = pa.drift
-        for r in pa.phase_residues:
+        phases = pa.tail_run.phases
+        d = phases.drift
+        for r in phases.residues:
             va = pa.first_value_at_residue(r)
             vb = pb.first_value_at_residue(r)
             if (va - vb) % d == 0:
@@ -426,9 +544,9 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
         return None
 
     if finiteness == {True}:
-        common = set(profs[istar[0]].seq)
+        common = set(profs[istar[0]].points())
         for a in istar[1:]:
-            common &= set(profs[a].seq)
+            common &= set(profs[a].points())
         if not common:
             return None
         best = min(common, key=lambda z: (sum(p.hitting(z) for p in profs.values()), z))
@@ -489,7 +607,7 @@ def p_tilde_witness(sm: SelfMap) -> tuple[int, int] | None:
 
     def deep_rep(r: int) -> int:
         x = base + (r - base) % m
-        while not (x + _min_dip(sm, r) >= sm.prefix_len):
+        while not (x + min(cycle_phases(sm)[r].sums) >= sm.prefix_len):
             x += m
         return x
 

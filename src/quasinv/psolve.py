@@ -25,9 +25,9 @@ from typing import Callable, Iterable, Optional
 from .errors import NotAP2Solution, StructureViolation
 from .orbits import (
     OrbitProfile,
-    _cycle_sums,
     all_orbits_infinite,
     check_p_tilde,
+    cycle_phases,
     hitting_time,
     lock_height,
     orbit_profile,
@@ -136,7 +136,7 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         if scope == SCOPE_ALL and not all_orbits_infinite(sm):
             bound = lock_height(sm) + m
             x_fin = next(x for x in range(bound + 1) if orbit_profile(sm, x).finite)
-            top = max(orbit_profile(sm, x_fin).seq) + 2 * m * c + 1
+            top = orbit_profile(sm, x_fin).max_point() + 2 * m * c + 1
             y = rep_at(pos_cycles[0].residues[0], max(rep_base, top), m)
             return (x_fin, y)
         if len(pos_cycles) > 1:
@@ -175,10 +175,7 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
     exc = rep_base
     for dc in classes:
         if dc.entry_profile is not None:
-            p = dc.entry_profile
-            exc = max(exc, max(p.seq, default=0))
-            if not p.finite:
-                exc = max(exc, p.asymptotic_threshold())
+            exc = max(exc, dc.entry_profile.max_point())
 
     def desc_class_hits(upper: _DeepClass, lower_value: int) -> bool:
         """Does the descent of every deep point of ``upper`` pass through
@@ -187,8 +184,8 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         cyc = ts.fate(upper.residue)
         if not ts.on_cycle(upper.residue) or r_lo not in cyc.residues:
             return False
-        residues, sums = _cycle_sums(sm, upper.residue)
-        offset = sums[residues.index(r_lo)]
+        ph = cycle_phases(sm)[upper.residue]
+        offset = ph.sums[ph.phase_of[r_lo]]
         return (lower_value - upper.anchor - offset) % abs(cyc.drift) == 0
 
     def covers_up(low: _DeepClass, high: _DeepClass) -> bool:
@@ -247,9 +244,8 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
     profiles = {x: orbit_profile(sm, x) for x in range(w_base + 1)}
     top_of = {}
     for x, p in profiles.items():
-        top_of[x] = max(p.seq, default=0)
+        top_of[x] = p.max_point()
         if not p.finite:
-            top_of[x] = max(top_of[x], p.asymptotic_threshold())
             w_final = max(w_final, p.asymptotic_threshold())
 
     def in_scope_pt(x: int) -> bool:
@@ -343,7 +339,7 @@ def decompose_HHH(sm: SelfMap, g_value: Iterable[int], v_value: int) -> HDecompo
             raise StructureViolation("the removal point must be the shared point of the infinite part")
         expected: set[int] = set()
         for a in h_tilde:
-            expected.update(profs[a].seq)
+            expected.update(profs[a].points())
         for a in h:
             expected.update(_segment_to(sm, a, v_value))
         if expected != set(g):
@@ -354,7 +350,7 @@ def decompose_HHH(sm: SelfMap, g_value: Iterable[int], v_value: int) -> HDecompo
         raise StructureViolation("some element's orbit must pass through the removal point")
     expected = set()
     for a in h_tilde:
-        expected.update(profs[a].seq)
+        expected.update(profs[a].points())
     for a in h_bar:
         expected.update(_segment_to(sm, a, v_value))
     if expected != set(g):
@@ -401,7 +397,7 @@ def solve_P1(sm: SelfMap) -> Optional[PSolution]:
         inf, fin = _split_by_orbit(sm, pts)
         out: set[int] = set()
         for a in fin:
-            out.update(orbit_profile(sm, a).seq)
+            out.update(orbit_profile(sm, a).points())
         if inf:
             z = xi(sm, tuple(inf))
             assert z is not None
@@ -434,7 +430,7 @@ def has_full_orbit(sm: SelfMap) -> Optional[int]:
     """
     if isinstance(sm, FiniteTable):
         for a in range(sm.size):
-            if len(orbit_profile(sm, a).seq) == sm.size:
+            if orbit_profile(sm, a).length == sm.size:
                 return a
         return None
     if not all_orbits_infinite(sm):
@@ -492,7 +488,7 @@ def solve_P2(sm: SelfMap) -> Optional[PSolution]:
         inf, fin = _split_by_orbit(sm, pts)
         out: set[int] = set()
         for a in fin:
-            out.update(orbit_profile(sm, a).seq)
+            out.update(orbit_profile(sm, a).points())
         if inf:
             z = xi(sm, tuple(inf))
             assert z is not None and z.point in pts

@@ -66,11 +66,17 @@ def _is_identity(sm: SelfMap) -> bool:
 def identity_decision(sm: SelfMap, scope: str, k: int) -> bool:
     """Is every finite set of size >= k (resp. every interval of length >= k) invariant?
 
-    A non-identity map moves some point, and a large enough set (interval)
+    Subsets: a non-identity map moves some point, and a large enough set
     containing that point but not its image witnesses failure; so the answer
     is "map is the identity", except that on a finite domain with k equal to
     the domain size the only set quantified over is the whole domain, which
     every map preserves.
+
+    Intervals: a point x with f(x) < x fails on the interval starting at x;
+    one with f(x) > x is held by every interval of length >= k through x iff
+    it is held by the one reaching least far right, [0, max(x, k - 1)].  So
+    the answer is "every moved point x has x < f(x) < k", which a nonzero
+    shift breaks on the infinitely many points of its residue class.
     """
     if scope == "subsets":
         if isinstance(sm, FiniteTable):
@@ -86,5 +92,7 @@ def identity_decision(sm: SelfMap, scope: str, k: int) -> bool:
             raise NotNatDomain("interval scope needs a map on the naturals")
         if k < 1:
             raise ValueError("k must be at least 1")
-        return _is_identity(sm)
+        return all(c == 0 for c in sm.shifts) and all(
+            v == x or x < v < k for x, v in enumerate(sm.prefix)
+        )
     raise ValueError(f"unknown scope {scope!r}")

@@ -116,10 +116,6 @@ class DescribedNatMap:
 SelfMap = Union[FiniteTable, DescribedNatMap]
 
 
-def is_nat_map(sm: SelfMap) -> bool:
-    return isinstance(sm, DescribedNatMap)
-
-
 def succ() -> DescribedNatMap:
     """n -> n + 1 on the naturals."""
     return DescribedNatMap((), 1, (1,))

@@ -26,7 +26,7 @@ def build_G_orbit_union(
         prof = orbit_profile(sm, a)
         if not prof.finite:
             raise InfiniteOrbitError(a)
-        pts.update(prof.seq)
+        pts.update(prof.points())
     return tuple(sorted(pts))
 
 
@@ -49,9 +49,6 @@ class MaxCondProfile:
 
     def is_fixed(self, x: int) -> bool:
         return self.sm(x) == x
-
-    def fixed_upto(self, bound: int) -> list[int]:
-        return [x for x in range(bound + 1) if self.is_fixed(x)]
 
     def b(self, n: int) -> int:
         count = -1

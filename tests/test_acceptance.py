@@ -171,7 +171,7 @@ def _mutant_xi_maximal_sum():
         profs = {a: orbit_profile(sm, a) for a in istar}
         if not all(p.finite for p in profs.values()):
             return res
-        common = set.intersection(*(set(p.seq) for p in profs.values()))
+        common = set.intersection(*(set(p.points()) for p in profs.values()))
         worst = max(common, key=lambda z: (sum(p.hitting(z) for p in profs.values()), -z))
         return XiResult(worst, {a: profs[a].hitting(worst) for a in istar})
 

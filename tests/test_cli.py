@@ -151,3 +151,30 @@ def test_cli_matches_library_verdicts(capsys, map_file):
     assert (code == 0) == rep.holds
     code, _, _ = run(capsys, "solve", path, "--p1")
     assert (code == 0) == (solve_P1(sm) is not None)
+
+
+STEP_DOWN = DescribedNatMap((0,), 1, (-1,))  # every point steps down to 0
+
+
+def test_orbit_of_a_long_descent_exits_0(capsys, map_file):
+    code, out, err = run(capsys, "orbit", map_file(STEP_DOWN), "1000000")
+    assert code == 0 and err == ""
+    assert out.startswith("finite tail=[1000000, 999999,") and out.rstrip().endswith("cycle=[0]")
+
+
+def test_orbit_too_long_to_list_exits_2(capsys, map_file):
+    code, out, err = run(capsys, "orbit", map_file(STEP_DOWN), str(10**18))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_orbit_too_long_to_list_prints_no_traceback(map_file):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasinv.cli", "orbit", map_file(STEP_DOWN), str(10**18)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -1,10 +1,13 @@
 """Orbit decomposition, certificates, hitting times, intersection, and the shared point."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_selfmap import nat_maps
 
 from quasinv import (
     DescribedNatMap,
     FiniteTable,
+    OrbitTooLong,
     check_p_tilde,
     hitting_time,
     in_D_phi,
@@ -13,6 +16,7 @@ from quasinv import (
     orbits_intersect,
     xi,
 )
+from quasinv import orbits as orbits_mod
 from quasinv.orbits import (
     all_orbits_infinite,
     exists_cofinite_orbit,
@@ -161,3 +165,151 @@ def test_profile_points_upto_matches_simulation():
             direct.add(y)
         y = CONJ(y)
     assert prof.points_upto(60) == direct
+
+
+# ---------------------------------------------------------------------------
+# Run-length profiles against naive walks
+# ---------------------------------------------------------------------------
+
+
+def _naive(sm, x, steps):
+    """The orbit of x up to its first repeated point or ``steps`` points, each
+    point's first step, and whether a point repeated."""
+    walk, first = [], {}
+    for k in range(steps):
+        if x in first:
+            return walk, first, True
+        walk.append(x)
+        first[x] = k
+        x = sm(x)
+    return walk, first, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(nat_maps, st.integers(0, 10**12))
+def test_profile_matches_naive_walk(sm, x):
+    # shifts are nonnegative here: a finite orbit closes within a few steps,
+    # and an infinite one climbs by at least one per step on average, so
+    # 2000 steps show every point at or below 200
+    prof = orbit_profile(sm, x)
+    walk, first, closed = _naive(sm, x, 2000)
+    assert prof.finite == closed
+    y = x
+    for k in range(2000):
+        assert prof.point_at(k) == y
+        y = sm(y)
+    for k, y in enumerate(walk):
+        assert prof.hitting(y) == k
+    assert prof.points_upto(200) == {p for p in walk if p <= 200}
+    for y in range(201):
+        assert prof.hitting(y) == first.get(y)
+
+
+descending_maps = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda mn: st.builds(
+        DescribedNatMap,
+        prefix=st.lists(
+            st.one_of(st.integers(0, 12), st.integers(0, 5000)), min_size=mn[1], max_size=mn[1]
+        ).map(tuple),
+        modulus=st.just(mn[0]),
+        shifts=st.lists(st.integers(-mn[1], 3), min_size=mn[0], max_size=mn[0]).map(tuple),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    descending_maps,
+    st.one_of(st.integers(0, 5000), st.integers(0, 10**12)),
+    st.lists(st.integers(0, 10**13), max_size=5),
+)
+def test_descending_profile_matches_naive_walk(sm, x, far_steps):
+    prof = orbit_profile(sm, x)
+    walk, first, closed = _naive(sm, x, 30_000)
+    for k in range(min(2000, len(walk))):
+        assert prof.point_at(k) == walk[k]
+        assert prof.hitting(walk[k]) == k
+    # far along the orbit the runs must still follow the map, step by step,
+    # and each point's hitting time must lead back to it
+    for k in far_steps:
+        y = prof.point_at(k)
+        assert sm(y) == prof.point_at(k + 1)
+        assert prof.point_at(prof.hitting(y)) == y
+    if closed:  # the whole orbit was walked
+        assert prof.finite and prof.length == len(walk) and prof.mu == first[sm(walk[-1])]
+        assert prof.points() == tuple(walk)
+        assert prof.points_upto(200) == {p for p in walk if p <= 200}
+        for y in range(201):
+            assert prof.hitting(y) == first.get(y)
+    else:
+        for p in prof.points_upto(200):
+            assert prof.point_at(prof.hitting(p)) == p
+        for y in set(range(201)) - prof.points_upto(200):
+            assert prof.hitting(y) is None
+
+
+STEP_DOWN = DescribedNatMap((0,), 1, (-1,))
+STEP_DOWN3 = DescribedNatMap((0, 1, 2), 3, (-3, -3, -3))
+
+
+@pytest.mark.parametrize("x", [10**18, 10**18 + 2124231790572604, 10**18 + 2])
+def test_start_near_1e18_closed_forms(x):
+    # every point steps down by one to 0
+    assert hitting_time(STEP_DOWN, x, 0) == x
+    prof = orbit_profile(STEP_DOWN, x)
+    assert prof.finite and prof.length == x + 1 and prof.mu == x
+    assert prof.point_at(x // 2) == x - x // 2 and prof.point_at(5 * x) == 0
+    # residues step down by three to their own fixed point 0, 1 or 2
+    assert hitting_time(STEP_DOWN3, x, 0) == (x // 3 if x % 3 == 0 else None)
+    assert hitting_time(STEP_DOWN3, x, x % 3) == x // 3
+    # the descent is one run: a constant number of points walked
+    for sm in (STEP_DOWN, STEP_DOWN3):
+        assert len(orbit_profile(sm, x).seq) == 1 and len(orbit_profile(sm, x).runs) == 1
+
+
+def test_orbit_too_long_to_list():
+    for sm in (STEP_DOWN, STEP_DOWN3):
+        with pytest.raises(OrbitTooLong):
+            orbit(sm, 10**18)
+
+
+def test_listing_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(orbits_mod, "MAX_LISTED_POINTS", 1000)
+    with pytest.raises(OrbitTooLong):
+        orbit(STEP_DOWN, 1000)  # 1001 points
+    res = orbit(STEP_DOWN, 999)
+    assert len(res.tail) + len(res.cycle) == 1000
+    with pytest.raises(OrbitTooLong):
+        orbit_profile(STEP_DOWN, 5000).points()
+
+
+def test_orbit_of_a_long_descent_lists_every_link():
+    res = orbit(STEP_DOWN3, 10**6 + 1)
+    assert res.cycle == (2,) and res.tail == tuple(range(10**6 + 1, 2, -3))
+
+
+def test_descent_closing_inside_an_earlier_run():
+    # 0 -> 10^6, then down by one: from 100 the orbit descends to 0, jumps to
+    # 10^6 and descends again into its own start
+    sm = DescribedNatMap((10**6,), 1, (-1,))
+    for x in (100, 30):
+        prof = orbit_profile(sm, x)
+        assert prof.finite and prof.mu == 0 and prof.length == 10**6 + 1
+        assert prof.hitting(10**6) == x + 1 and prof.hitting(x + 1) == 10**6
+        assert prof.hitting(10**6 + 1) is None
+        res = orbit(sm, x)
+        assert res.tail == () and res.cycle[: x + 2] == tuple(range(x, -1, -1)) + (10**6,)
+    # from far above, the descent closes on the cycle at 10^6
+    prof = orbit_profile(sm, 10**12)
+    assert prof.mu == 10**12 - 10**6 and prof.length == 10**12 + 1
+
+
+def test_multi_residue_descent_at_large_start():
+    # even points step down by one, odd ones by three: a residue cycle of drift -4
+    sm = DescribedNatMap((0, 1, 2), 2, (-1, -3))
+    x = 10**12 + 7
+    prof = orbit_profile(sm, x)
+    assert prof.finite and len(prof.seq) < 10
+    for k in (0, 1, 2, 3, 10**9, 10**9 + 1, prof.length - 2):
+        assert sm(prof.point_at(k)) == prof.point_at(k + 1)
+    assert prof.max_point() == x

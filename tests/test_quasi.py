@@ -55,6 +55,63 @@ def test_identity_decision_examples():
     assert identity_decision(IDENT, "subsets", 4) is True
 
 
+def test_identity_decision_intervals_beyond_the_identity():
+    # 0 -> 1 and every other point fixed: each interval of length >= 2 through 0
+    # also holds 1, while [0, 0] does not
+    nudge = DescribedNatMap((1,), 1, (0,))
+    assert identity_decision(nudge, "intervals", 2) is True
+    assert identity_decision(nudge, "intervals", 1) is False
+    assert identity_decision(DescribedNatMap((2, 1), 1, (0,)), "intervals", 2) is False
+    assert identity_decision(DescribedNatMap((2, 1), 1, (0,)), "intervals", 3) is True
+
+
+def _preserves_intervals(sm, k, window):
+    """Every interval of length >= k inside [0, window] is invariant."""
+    image = [sm(x) for x in range(window + 1)]
+    return all(
+        all(lo <= image[x] <= hi for x in range(lo, hi + 1))
+        for lo in range(window + 1)
+        for hi in range(lo + k - 1, window + 1)
+    )
+
+
+def test_identity_decision_intervals_matches_brute_force():
+    # prefixes up to length 3 with values up to 4, moduli 1 and 2, shifts down
+    # to the prefix length and up to 1; a violating interval lies below
+    # prefix_len + max(prefix) + modulus + k, inside the window
+    from itertools import product
+
+    window, cases = 16, 0
+    for n in range(4):
+        for prefix in product(range(5), repeat=n):
+            for m in (1, 2):
+                for shifts in product(range(-n, 2), repeat=m):
+                    sm = DescribedNatMap(prefix, m, shifts)
+                    for k in range(1, 5):
+                        cases += 1
+                        want = _preserves_intervals(sm, k, window)
+                        assert identity_decision(sm, "intervals", k) == want, (sm, k)
+    assert cases > 6000
+
+
+def test_identity_decision_intervals_check_on_a_wider_corpus():
+    # random maps with longer prefixes and small values reach the non-identity
+    # maps that keep every interval of length >= 2 or 3
+    from unittest import mock
+
+    from quasinv import GenParams, SuiteConfig, oracle, run_theorem_suite
+
+    real = oracle.random_described_map
+    with mock.patch.object(
+        oracle, "random_described_map", lambda seed: real(seed, GenParams(4, 2, 2, 4))
+    ):
+        report = run_theorem_suite(
+            SuiteConfig(theorems=("identity-decision-intervals",), samples=300)
+        )
+    [check] = report.checks
+    assert check.instances == 930 and check.failures == []
+
+
 def test_identity_decision_validation():
     with pytest.raises(ValueError):
         identity_decision(FiniteTable((0, 1)), "subsets", 0)
