@@ -10,11 +10,11 @@ choosing the removal point for a queried set or interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .errors import DomainTooSmall, NotNatDomain
-from .selfmap import DescribedNatMap, FiniteTable, SelfMap
+from .selfmap import DescribedNatMap, FiniteTable, PointIndex, SelfMap, point_index
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +71,6 @@ class SubsetWitnessSelector:
         return pts[0]
 
 
-def _nonfixed_points(sm: SelfMap) -> Optional[list[int]]:
-    """Non-fixed points in increasing order, or None when there are infinitely many."""
-    if isinstance(sm, FiniteTable):
-        return [i for i, v in enumerate(sm.table) if v != i]
-    if any(c != 0 for c in sm.shifts):
-        return None
-    return [i for i, v in enumerate(sm.prefix) if v != i]
-
-
 def classify_subsets_1qi(
     sm: SelfMap,
 ) -> Optional[tuple[SubsetClassification, SubsetWitnessSelector]]:
@@ -90,7 +81,8 @@ def classify_subsets_1qi(
     """
     if isinstance(sm, FiniteTable) and sm.size < 3:
         raise DomainTooSmall("the subset classification needs at least three points")
-    nf = _nonfixed_points(sm)
+    moved = point_index(sm, fixed=False)
+    nf = moved.head if moved.finite else None
     cls = None
     if nf is not None:
         if len(nf) == 0:
@@ -122,34 +114,16 @@ def classify_subsets_1qi(
 # ---------------------------------------------------------------------------
 
 
-def _nonfixed(sm: DescribedNatMap, x: int) -> bool:
-    return sm(x) != x
-
-
-def _next_nonfixed(sm: DescribedNatMap, x: int) -> Optional[int]:
-    """Smallest non-fixed point above x, None when the map is eventually the identity."""
-    if any(c != 0 for c in sm.shifts):
-        y = x + 1
-        while True:
-            if _nonfixed(sm, y):
-                return y
-            y += 1
-    for y in range(x + 1, sm.prefix_len):
-        if _nonfixed(sm, y):
-            return y
-    return None
-
-
-def _prev_nonfixed(sm: DescribedNatMap, x: int) -> Optional[int]:
-    for y in range(x - 1, -1, -1):
-        if _nonfixed(sm, y):
-            return y
-    return None
+def _nth_or_none(moved: PointIndex, n: int) -> Optional[int]:
+    try:
+        return moved.nth(n)
+    except IndexError:
+        return None
 
 
 @dataclass(frozen=True)
 class IntervalClassification:
-    """Case data for the interval family; non-fixed points remain lazily enumerable.
+    """Case data for the interval family; ``moved`` indexes the non-fixed points.
 
     ``n_star`` is the pivot index into the increasing sequence of non-fixed
     points (None for the all-ascending case; -1 means the very first
@@ -159,25 +133,16 @@ class IntervalClassification:
     sm: DescribedNatMap
     case: int  # 1, 2, or 3
     n_star: Optional[int]
+    moved: PointIndex = field(repr=False, compare=False)
 
     def nonfixed_in(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """(index, point) pairs for the non-fixed points inside [lo, hi]."""
-        out = []
-        idx = sum(1 for x in range(lo) if _nonfixed(self.sm, x))
-        for x in range(lo, hi + 1):
-            if _nonfixed(self.sm, x):
-                out.append((idx, x))
-                idx += 1
-        return out
+        first, end = self.moved.below(lo), self.moved.below(hi + 1)
+        return [(i, self.moved.nth(i)) for i in range(first, end)]
 
     def b(self, n: int) -> int:
-        """The n-th non-fixed point (0-based)."""
-        x = -1
-        for _ in range(n + 1):
-            x = _next_nonfixed(self.sm, x)
-            if x is None:
-                raise IndexError(f"the map has fewer than {n + 1} non-fixed points")
-        return x
+        """The n-th non-fixed point (0-based); IndexError when there are fewer."""
+        return self.moved.nth(n)
 
 
 class IntervalWitnessSelector:
@@ -220,47 +185,47 @@ def classify_intervals_1qi(
     """
     if not isinstance(sm, DescribedNatMap):
         raise NotNatDomain("interval classification needs a map on the naturals")
+    moved = point_index(sm, fixed=False)
     window = sm.prefix_len + 2 * sm.modulus
-    explicit = [x for x in range(window + 1) if _nonfixed(sm, x)]
+    explicit = [moved.nth(i) for i in range(moved.below(window + 1))]
 
-    def asc_ok(x: int) -> bool:
+    def asc_ok(i: int, x: int) -> bool:
         v = sm(x)
-        nx = _next_nonfixed(sm, x)
+        nx = _nth_or_none(moved, i + 1)
         return x < v and (nx is None or v <= nx)
 
-    def desc_ok(x: int) -> bool:
+    def desc_ok(i: int, x: int) -> bool:
         v = sm(x)
-        pv = _prev_nonfixed(sm, x)
+        pv = _nth_or_none(moved, i - 1)
         return v < x and (pv is None or pv <= v)
 
-    first_bad = next((i for i, x in enumerate(explicit) if not asc_ok(x)), None)
+    first_bad = next((i for i, x in enumerate(explicit) if not asc_ok(i, x)), None)
     if first_bad is None:
         # tail residues repeat the in-window representatives, so ascending holds globally
-        cls = IntervalClassification(sm, 1, None)
+        cls = IntervalClassification(sm, 1, None, moved)
         return cls, IntervalWitnessSelector(cls)
 
     pivot = explicit[first_bad]
     v = sm(pivot)
-    nx = _next_nonfixed(sm, pivot)
+    nx = _nth_or_none(moved, first_bad + 1)
     if v < pivot:
         case = 2
     elif nx is not None and v > nx:
         case = 3
     else:
         return None
-    for x in explicit[first_bad + 1 :]:
-        if not desc_ok(x):
+    for i in range(first_bad + 1, len(explicit)):
+        if not desc_ok(i, explicit[i]):
             return None
-    if any(c != 0 for c in sm.shifts):
-        # tail beyond the window: every non-fixed residue must step down gently
-        for r in range(sm.modulus):
+    if not moved.finite:
+        # tail beyond the window: every non-fixed residue must step down
+        # gently, by at most the gap back to the previous non-fixed residue
+        res = moved.residues
+        for r, prev in zip(res, res[-1:] + res[:-1]):
             c = sm.shifts[r]
-            if c == 0:
-                continue
-            gap_prev = next(j for j in range(1, sm.modulus + 1) if sm.shifts[(r - j) % sm.modulus] != 0)
-            if not (c < 0 and -c <= gap_prev):
+            if not (c < 0 and -c <= ((r - prev) % sm.modulus or sm.modulus)):
                 return None
-    cls = IntervalClassification(sm, case, first_bad - 1)
+    cls = IntervalClassification(sm, case, first_bad - 1, moved)
     return cls, IntervalWitnessSelector(cls)
 
 

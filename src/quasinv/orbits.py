@@ -476,24 +476,13 @@ def hitting_time(sm: SelfMap, x: int, y: int) -> int | None:
 def orbits_intersect(sm: SelfMap, a: int, b: int) -> tuple[int, int, int] | None:
     """A common point (z, m_a, m_b) of the two orbits, or None when disjoint.
 
-    The returned z minimizes m_a + m_b (ties broken by smallest z), matching
-    the selector below on pairs.
+    The returned z minimizes m_a + m_b (ties broken by smallest z): it is
+    the shared point of the pair.
     """
-    pa, pb = orbit_profile(sm, a), orbit_profile(sm, b)
-    if pa.finite != pb.finite:
-        # a finite orbit consists of finite-orbit points only, an infinite
-        # orbit of infinite-orbit points only; no overlap is possible
-        return None
-    if pa.finite:
-        common = set(pa.points()) & set(pb.points())
-        if not common:
-            return None
-        best = min(common, key=lambda z: (pa.hitting(z) + pb.hitting(z), z))
-        return (best, pa.hitting(best), pb.hitting(best))
-    z = _pair_meet(pa, pb)
+    z = xi(sm, (a, b))
     if z is None:
         return None
-    return (z, pa.hitting(z), pb.hitting(z))
+    return (z.point, z.hitting_times[a], z.hitting_times[b])
 
 
 def _pair_meet(pa: OrbitProfile, pb: OrbitProfile) -> int | None:
@@ -541,6 +530,8 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
     profs = {a: orbit_profile(sm, a) for a in istar}
     finiteness = {p.finite for p in profs.values()}
     if len(finiteness) > 1:
+        # a finite orbit consists of finite-orbit points only, an infinite
+        # orbit of infinite-orbit points only; no overlap is possible
         return None
 
     if finiteness == {True}:
@@ -552,13 +543,12 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
         best = min(common, key=lambda z: (sum(p.hitting(z) for p in profs.values()), z))
         return XiResult(best, {a: profs[a].hitting(best) for a in istar})
 
-    cur = profs[istar[0]]
     z = istar[0]
     for a in istar[1:]:
+        cur = profs[z] if z in profs else orbit_profile(sm, z)
         z = _pair_meet(cur, profs[a])
         if z is None:
             return None
-        cur = orbit_profile(sm, z)
     return XiResult(z, {a: profs[a].hitting(z) for a in istar})
 
 

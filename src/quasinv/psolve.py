@@ -316,6 +316,18 @@ def _segment_to(sm: SelfMap, a: int, target: int) -> set[int]:
     return {prof.point_at(i) for i in range(k + 1)}
 
 
+def _orbit_union(
+    sm: SelfMap, whole: Iterable[int], cut: Iterable[int], v: Optional[int]
+) -> set[int]:
+    """The full orbits of ``whole`` plus the orbit segments of ``cut`` up to ``v``."""
+    out: set[int] = set()
+    for a in whole:
+        out.update(orbit_profile(sm, a).points())
+    for a in cut:
+        out.update(_segment_to(sm, a, v))
+    return out
+
+
 def decompose_HHH(sm: SelfMap, g_value: Iterable[int], v_value: int) -> HDecomposition:
     """Split a candidate superset into the canonical three parts and verify its shape.
 
@@ -337,25 +349,14 @@ def decompose_HHH(sm: SelfMap, g_value: Iterable[int], v_value: int) -> HDecompo
         z = xi(sm, h)
         if z is None or z.point != v_value:
             raise StructureViolation("the removal point must be the shared point of the infinite part")
-        expected: set[int] = set()
-        for a in h_tilde:
-            expected.update(profs[a].points())
-        for a in h:
-            expected.update(_segment_to(sm, a, v_value))
-        if expected != set(g):
-            raise StructureViolation("superset is not the prescribed union of orbits and segments")
-        return HDecomposition(h, h_bar, h_tilde, "infinite")
-
-    if not h_bar:
+        cut, case = h, "infinite"
+    elif h_bar:
+        cut, case = h_bar, "finite"
+    else:
         raise StructureViolation("some element's orbit must pass through the removal point")
-    expected = set()
-    for a in h_tilde:
-        expected.update(profs[a].points())
-    for a in h_bar:
-        expected.update(_segment_to(sm, a, v_value))
-    if expected != set(g):
+    if _orbit_union(sm, h_tilde, cut, v_value) != set(g):
         raise StructureViolation("superset is not the prescribed union of orbits and segments")
-    return HDecomposition(h, h_bar, h_tilde, "finite")
+    return HDecomposition(h, h_bar, h_tilde, case)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +375,10 @@ class PSolution:
 
 
 def _split_by_orbit(sm: SelfMap, istar: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    inf = [a for a in istar if not orbit_profile(sm, a).finite]
-    fin = [a for a in istar if orbit_profile(sm, a).finite]
+    inf: list[int] = []
+    fin: list[int] = []
+    for a in istar:
+        (fin if orbit_profile(sm, a).finite else inf).append(a)
     return inf, fin
 
 
@@ -386,39 +389,39 @@ def _normalize(istar: Iterable[int]) -> tuple[int, ...]:
     return pts
 
 
+def _orbit_solution(sm: SelfMap, mode: str, description: str) -> PSolution:
+    """Orbit unions for finite-orbit points, segments of the infinite-orbit
+    points to their shared point, which is the removal point (or the smallest
+    queried point when every orbit is finite).  Variant two asserts that the
+    shared point lies in the queried set."""
+
+    def split(pts: tuple[int, ...]) -> tuple[list[int], list[int], Optional[int]]:
+        inf, fin = _split_by_orbit(sm, pts)
+        if not inf:
+            return inf, fin, None
+        z = xi(sm, tuple(inf))
+        assert z is not None and (mode == "P1" or z.point in pts)
+        return inf, fin, z.point
+
+    def g_sel(istar: Iterable[int]) -> tuple[int, ...]:
+        inf, fin, v = split(_normalize(istar))
+        return tuple(sorted(_orbit_union(sm, fin, inf, v)))
+
+    def u_sel(istar: Iterable[int]) -> int:
+        pts = _normalize(istar)
+        v = split(pts)[2]
+        return pts[0] if v is None else v
+
+    return PSolution(mode, g_sel, u_sel, description)
+
+
 def solve_P1(sm: SelfMap) -> Optional[PSolution]:
     """Selectors for the removed-point-anywhere variant; present iff every two
     infinite orbits intersect."""
     if not check_p_tilde(sm):
         return None
-
-    def g_sel(istar: Iterable[int]) -> tuple[int, ...]:
-        pts = _normalize(istar)
-        inf, fin = _split_by_orbit(sm, pts)
-        out: set[int] = set()
-        for a in fin:
-            out.update(orbit_profile(sm, a).points())
-        if inf:
-            z = xi(sm, tuple(inf))
-            assert z is not None
-            for a in inf:
-                out.update(_segment_to(sm, a, z.point))
-        return tuple(sorted(out))
-
-    def u_sel(istar: Iterable[int]) -> int:
-        pts = _normalize(istar)
-        inf, _ = _split_by_orbit(sm, pts)
-        if inf:
-            z = xi(sm, tuple(inf))
-            assert z is not None
-            return z.point
-        return pts[0]
-
-    return PSolution(
-        "P1",
-        g_sel,
-        u_sel,
-        "orbit unions for finite-orbit points, segments to the shared point otherwise",
+    return _orbit_solution(
+        sm, "P1", "orbit unions for finite-orbit points, segments to the shared point otherwise"
     )
 
 
@@ -483,33 +486,8 @@ def solve_P2(sm: SelfMap) -> Optional[PSolution]:
 
         return PSolution("P2", g_chain, u_chain, f"initial segments of the full orbit of {start}")
 
-    def g_sel(istar: Iterable[int]) -> tuple[int, ...]:
-        pts = _normalize(istar)
-        inf, fin = _split_by_orbit(sm, pts)
-        out: set[int] = set()
-        for a in fin:
-            out.update(orbit_profile(sm, a).points())
-        if inf:
-            z = xi(sm, tuple(inf))
-            assert z is not None and z.point in pts
-            for a in inf:
-                out.update(_segment_to(sm, a, z.point))
-        return tuple(sorted(out))
-
-    def u_sel(istar: Iterable[int]) -> int:
-        pts = _normalize(istar)
-        inf, _ = _split_by_orbit(sm, pts)
-        if inf:
-            z = xi(sm, tuple(inf))
-            assert z is not None and z.point in pts
-            return z.point
-        return pts[0]
-
-    return PSolution(
-        "P2",
-        g_sel,
-        u_sel,
-        "orbit unions for finite-orbit points, segments to the in-set shared point otherwise",
+    return _orbit_solution(
+        sm, "P2", "orbit unions for finite-orbit points, segments to the in-set shared point otherwise"
     )
 
 

@@ -11,11 +11,16 @@ Two representations cover everything the rest of the package reasons about:
 The described form keeps orbit finiteness and orbit intersection decidable
 while still expressing successors, finite perturbations of the identity,
 pivot maps, and eventually-arithmetic fixed-point structures.
+
+``point_index`` orders the fixed (or the moved) points of either form: the
+ones below the prefix are listed, and above it they repeat with the modulus,
+so counting them below x and finding the n-th one take constant work.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
 
@@ -114,6 +119,60 @@ class DescribedNatMap:
 
 
 SelfMap = Union[FiniteTable, DescribedNatMap]
+
+
+@dataclass(frozen=True)
+class PointIndex:
+    """The fixed (or the moved) points of a self-map, in increasing order.
+
+    Below ``start`` (the prefix length, or the size of a finite table) they
+    are listed in ``head``; at or above it a point belongs exactly when its
+    residue modulo ``modulus`` is in ``residues``, so the sequence repeats
+    with the modulus.  Both queries are ``bisect`` and ``divmod`` on these
+    tuples, so they cost the same at any height.
+    """
+
+    head: tuple[int, ...]
+    start: int
+    modulus: int
+    residues: tuple[int, ...]
+
+    @property
+    def finite(self) -> bool:
+        """True when every such point lies in ``head``."""
+        return not self.residues
+
+    def _tail_below(self, x: int) -> int:
+        """Naturals below x whose residue is in ``residues``."""
+        q, r = divmod(x, self.modulus)
+        return q * len(self.residues) + bisect_left(self.residues, r)
+
+    def below(self, x: int) -> int:
+        """How many of the points are below x."""
+        if x <= self.start:
+            return bisect_left(self.head, x)
+        return len(self.head) + self._tail_below(x) - self._tail_below(self.start)
+
+    def nth(self, n: int) -> int:
+        """The n-th point (0-based); IndexError when there are fewer than n + 1."""
+        if 0 <= n < len(self.head):
+            return self.head[n]
+        if n < 0 or self.finite:
+            raise IndexError(f"no such point at index {n}")
+        k = n - len(self.head) + self._tail_below(self.start)
+        q, i = divmod(k, len(self.residues))
+        return q * self.modulus + self.residues[i]
+
+
+def point_index(sm: SelfMap, fixed: bool) -> PointIndex:
+    """Index of the fixed points of ``sm`` (``fixed=True``) or of its moved points."""
+    if isinstance(sm, FiniteTable):
+        table, modulus, shifts = sm.table, 1, ()
+    else:
+        table, modulus, shifts = sm.prefix, sm.modulus, sm.shifts
+    head = tuple(x for x, v in enumerate(table) if (v == x) == fixed)
+    residues = tuple(r for r, c in enumerate(shifts) if (c == 0) == fixed)
+    return PointIndex(head, len(table), modulus, residues)
 
 
 def succ() -> DescribedNatMap:

@@ -9,12 +9,12 @@ or intervals when the superset must be one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InfiniteOrbitError, NotNatDomain, ProfileInvalid
 from .orbits import orbit_profile
-from .selfmap import DescribedNatMap, SelfMap
+from .selfmap import DescribedNatMap, PointIndex, SelfMap, point_index
 
 
 def build_G_orbit_union(
@@ -46,30 +46,18 @@ class MaxCondProfile:
     """
 
     sm: DescribedNatMap
-
-    def is_fixed(self, x: int) -> bool:
-        return self.sm(x) == x
+    fixed: PointIndex = field(repr=False, compare=False)
 
     def b(self, n: int) -> int:
-        count = -1
-        x = 0
-        while True:
-            if self.is_fixed(x):
-                count += 1
-                if count == n:
-                    return x
-            x += 1
-
-    def _index_of_fixed(self, y: int) -> int:
-        assert self.is_fixed(y)
-        return sum(1 for x in range(y) if self.is_fixed(x))
+        return self.fixed.nth(n)
 
     def j(self, a: int) -> int:
-        return self._index_of_fixed(self.sm(a))
+        # alpha(a) is a fixed point, so the fixed points below it give its index
+        return self.fixed.below(self.sm(a))
 
     def r(self, a: int) -> int:
         """Least n with b(n) > a, i.e. the number of fixed points <= a."""
-        return sum(1 for x in range(a + 1) if self.is_fixed(x))
+        return self.fixed.below(a + 1)
 
 
 def analyze_maxcond(sm: SelfMap) -> Optional[MaxCondProfile]:
@@ -89,7 +77,7 @@ def analyze_maxcond(sm: SelfMap) -> Optional[MaxCondProfile]:
             return None
         if c != 0 and sm.shifts[(r + c) % sm.modulus] != 0:
             return None
-    return MaxCondProfile(sm)
+    return MaxCondProfile(sm, point_index(sm, fixed=True))
 
 
 def interval_superset_bounds(

@@ -1,0 +1,27 @@
+"""Hypothesis strategies for described maps, shared by the test modules."""
+
+from hypothesis import strategies as st
+
+from quasinv import DescribedNatMap
+
+# nonnegative shifts and a short prefix: every orbit closes or climbs
+nat_maps = st.integers(1, 3).flatmap(
+    lambda m: st.builds(
+        DescribedNatMap,
+        prefix=st.lists(st.integers(0, 9), max_size=3).map(tuple),
+        modulus=st.just(m),
+        shifts=st.lists(st.integers(0, 4), min_size=m, max_size=m).map(tuple),
+    )
+)
+
+# negative shifts and prefix values up to 5000: long descents, cut into runs
+descending_maps = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda mn: st.builds(
+        DescribedNatMap,
+        prefix=st.lists(
+            st.one_of(st.integers(0, 12), st.integers(0, 5000)), min_size=mn[1], max_size=mn[1]
+        ).map(tuple),
+        modulus=st.just(mn[0]),
+        shifts=st.lists(st.integers(-mn[1], 3), min_size=mn[0], max_size=mn[0]).map(tuple),
+    )
+)

@@ -12,7 +12,7 @@ from quasinv import (
     classify_subsets_1qi,
     named_map,
 )
-from quasinv.oracle import brute_force_interval_w, brute_force_w_table
+from quasinv.oracle import brute_force_interval_w, brute_force_w_table, named_corpus
 
 SUCC = named_map("succ")
 IDENT = named_map("id")
@@ -104,6 +104,19 @@ def test_interval_b_sequence_access():
     res = classify_intervals_1qi(roundup)
     assert res is not None
     assert [res[0].b(n) for n in range(3)] == [1, 3, 5]
+
+
+def test_interval_selector_answers_at_any_height():
+    # case3 moves every point: b(n) = n, and above 1 every point steps down
+    cls, sel = classify_intervals_1qi(named_corpus()["case3"])
+    top = 10**18
+    assert sel.choose(top, top + 3) == top
+    assert cls.b(top) == top and cls.nonfixed_in(top, top + 1) == [(top, top), (top + 1, top + 1)]
+    # roundup moves the odd points only: b(n) = 2n + 1
+    cls, sel = classify_intervals_1qi(named_corpus()["roundup"])
+    assert cls.b(top // 2) == top + 1
+    assert cls.nonfixed_in(top, top + 3) == [(top // 2, top + 1), (top // 2 + 1, top + 3)]
+    assert sel.choose(top, top + 3) == top + 3
 
 
 def test_interval_selector_sound_and_matches_oracle():

@@ -2,7 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_selfmap import nat_maps
+from strategies import descending_maps, nat_maps
 
 from quasinv import (
     DescribedNatMap,
@@ -203,18 +203,6 @@ def test_profile_matches_naive_walk(sm, x):
     assert prof.points_upto(200) == {p for p in walk if p <= 200}
     for y in range(201):
         assert prof.hitting(y) == first.get(y)
-
-
-descending_maps = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
-    lambda mn: st.builds(
-        DescribedNatMap,
-        prefix=st.lists(
-            st.one_of(st.integers(0, 12), st.integers(0, 5000)), min_size=mn[1], max_size=mn[1]
-        ).map(tuple),
-        modulus=st.just(mn[0]),
-        shifts=st.lists(st.integers(-mn[1], 3), min_size=mn[0], max_size=mn[0]).map(tuple),
-    )
-)
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from strategies import descending_maps, nat_maps
 
 from quasinv import (
     DescribedNatMap,
@@ -13,7 +14,7 @@ from quasinv import (
     parse_map,
     serialize_map,
 )
-from quasinv.selfmap import map_from_obj, parse_interval, parse_point_set
+from quasinv.selfmap import map_from_obj, parse_interval, parse_point_set, point_index
 
 
 def test_eval_succ():
@@ -85,14 +86,6 @@ def test_point_set_and_interval_parsing():
 finite_maps = st.integers(1, 5).flatmap(
     lambda n: st.tuples(*[st.integers(0, n - 1)] * n).map(FiniteTable)
 )
-nat_maps = st.integers(1, 3).flatmap(
-    lambda m: st.builds(
-        DescribedNatMap,
-        prefix=st.lists(st.integers(0, 9), max_size=3).map(tuple),
-        modulus=st.just(m),
-        shifts=st.lists(st.integers(0, 4), min_size=m, max_size=m).map(tuple),
-    )
-)
 any_map = st.one_of(finite_maps, nat_maps)
 
 
@@ -116,3 +109,27 @@ def test_described_eval_matches_rule(sm, x):
         assert sm(x) == sm.prefix[x]
     else:
         assert sm(x) == x + sm.shifts[x % sm.modulus]
+
+
+@given(st.one_of(finite_maps, nat_maps, descending_maps), st.booleans(), st.integers(0, 10**12))
+def test_point_index_matches_scan(sm, fixed, far):
+    idx = point_index(sm, fixed=fixed)
+    # two whole periods past the prefix show every residue twice
+    window = sm.size if isinstance(sm, FiniteTable) else sm.prefix_len + 2 * sm.modulus
+    scan = [x for x in range(window) if (sm(x) == x) == fixed]
+    for x in range(window + 1):
+        assert idx.below(x) == sum(1 for p in scan if p < x)
+    assert [idx.nth(n) for n in range(len(scan))] == scan
+    with pytest.raises(IndexError):
+        idx.nth(-1)
+    if idx.finite:
+        assert idx.below(window + far) == len(scan)
+        with pytest.raises(IndexError):
+            idx.nth(len(scan) + far)
+        return
+    # far up, the n-th point is such a point and exactly n of them lie below it
+    n = len(scan) + far
+    p = idx.nth(n)
+    assert (sm(p) == p) == fixed
+    assert idx.below(p) == n and idx.below(p + 1) == n + 1
+    assert idx.nth(idx.below(window + far)) >= window + far

@@ -49,6 +49,16 @@ def test_maxcond_profiles():
     assert ident is not None and ident.b(5) == 5 and ident.j(5) == 5
 
 
+def test_maxcond_indices_at_any_height():
+    # the fixed points of EVENS are 2, 4, 6, ...: b(n) = 2n + 2
+    prof = analyze_maxcond(EVENS)
+    top = 10**18
+    assert prof.b(top // 2 - 1) == top
+    assert prof.r(top) == top // 2 == prof.r(top + 1)
+    assert prof.j(top + 1) == top // 2  # alpha(10^18 + 1) = 10^18 + 2 = b(10^18 / 2)
+    assert prof.j(top) == top // 2 - 1
+
+
 def test_maxcond_requires_nat():
     with pytest.raises(NotNatDomain):
         analyze_maxcond(FiniteTable((0, 1)))
