@@ -120,6 +120,7 @@ class CyclePhases(NamedTuple):
     phase_of: dict[int, int]  # residue -> phase
     drift: int
     modulus: int
+    residue_set: frozenset[int]  # the residues, for membership tests
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +138,7 @@ def cycle_phases(sm: DescribedNatMap) -> tuple[CyclePhases | None, ...]:
         ordered = cyc.residues[k:] + cyc.residues[:k]
         sums = tuple(itertools.accumulate((sm.shifts[q] for q in ordered[:-1]), initial=0))
         phase_of = {q: i for i, q in enumerate(ordered)}
-        out.append(CyclePhases(ordered, sums, phase_of, cyc.drift, sm.modulus))
+        out.append(CyclePhases(ordered, sums, phase_of, cyc.drift, sm.modulus, frozenset(ordered)))
     return tuple(out)
 
 
@@ -416,7 +417,7 @@ class OrbitProfile:
 
     def cycle_residue_set(self) -> frozenset[int]:
         assert not self.finite
-        return frozenset(self.tail_run.phases.residues)
+        return self.tail_run.phases.residue_set
 
     def first_value_at_residue(self, r: int) -> int | None:
         assert not self.finite

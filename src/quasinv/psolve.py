@@ -50,11 +50,51 @@ def _comparable(sm: SelfMap, x: int, y: int) -> bool:
     return hitting_time(sm, x, y) is not None or hitting_time(sm, y, x) is not None
 
 
-@dataclass
-class _DeepClass:
-    """Behavior of deep points congruent to ``anchor`` modulo the global period."""
+def _is_chain(sm: SelfMap, points: list[int]) -> bool:
+    """Are the points pairwise comparable?
 
-    anchor: int  # class representative value modulo the period
+    They are iff one of them reaches all the others: two points of one orbit
+    are comparable, and a finite total preorder has a least element.  One
+    pass finds the only candidate (the current one gives way to a point that
+    reaches it), a second checks that it reaches every point: 2|S| hitting
+    queries instead of |S|^2 / 2.
+    """
+    if not points:
+        return True
+    least = points[0]
+    for y in points[1:]:
+        if hitting_time(sm, y, least) is not None:
+            least = y
+    prof = orbit_profile(sm, least)
+    return all(prof.hitting(y) is not None for y in points)
+
+
+def _first_incomparable(sm: SelfMap, points: list[int]) -> Optional[tuple[int, int]]:
+    """The first incomparable pair of ``points`` in scan order, or None."""
+    if _is_chain(sm, points):
+        return None
+    for i, x in enumerate(points):
+        for y in points[i + 1 :]:
+            if not _comparable(sm, x, y):
+                return (x, y)
+    raise AssertionError("points that form no chain have an incomparable pair")
+
+
+@dataclass
+class _ClassGroup:
+    """The deep classes (values modulo the global period) congruent to
+    ``anchor`` modulo ``stride``, which behave alike.
+
+    A rising or zero-drift class depends only on its residue, so its stride
+    is the modulus.  A descending class depends on its residue and on where
+    its descent enters the band, which is fixed by the value modulo the
+    |drift| of its residue's cycle (a start |drift| higher passes through the
+    lower one after one cycle period), so its stride is that |drift|.  The
+    anchor lies below the stride: it is the group's smallest class.
+    """
+
+    anchor: int
+    stride: int
     residue: int
     kind: str  # "pos" | "zero" | "neg"
     entry_profile: Optional[OrbitProfile] = None  # orbit after descending, neg kind only
@@ -88,12 +128,7 @@ def total_order_witness(sm: SelfMap, scope: str = SCOPE_ALL) -> Optional[tuple[i
     if isinstance(sm, FiniteTable):
         if scope == SCOPE_INFINITE:
             return None
-        pts = range(sm.size)
-        for x in pts:
-            for y in pts:
-                if x < y and not _comparable(sm, x, y):
-                    return (x, y)
-        return None
+        return _first_incomparable(sm, list(range(sm.size)))
     return _described_total_order_witness(sm, scope)
 
 
@@ -109,20 +144,66 @@ def is_total_order(sm: SelfMap, scope: str = SCOPE_ALL) -> bool:
 def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[tuple[int, int]]:
     ts = tail_structure(sm)
     m = sm.modulus
-    c = shift_magnitude(sm) + 1
-    deep = lock_height(sm)  # prefix-influence band ends here
-
     kinds = []
     for r in range(m):
         d = ts.fate(r).drift
         kinds.append("pos" if d > 0 else "zero" if d == 0 else "neg")
 
-    period = lcm(m, *(abs(cy.drift) for cy in ts.cycles if cy.drift != 0))
-    rep_base = deep + 2 * period + 2 * m * c
-    far = period * (1 + (4 * m * c + 2 * period) // period)  # beyond every transient
-
     def rep_at(value_class: int, base: int, mod: int) -> int:
         return base + (value_class - base) % mod
+
+    # Bounds.  A step moves a point above the prefix by less than c, and a
+    # residue path or a cycle period takes at most m steps, so it moves a
+    # point by less than m*c.
+    c = shift_magnitude(sm) + 1
+    # deep: the lock height, where the prefix-influence band ends.
+    deep = lock_height(sm)
+    # period: the modulus and every cycle's |drift| divide it, so deep points
+    # behave periodically modulo it; a class is a value modulo period.
+    period = lcm(m, *(abs(cy.drift) for cy in ts.cycles if cy.drift != 0))
+    # rep_base: class representatives lie two periods and two residue paths
+    # above the band, so a representative and the point one period (or one
+    # |drift|) higher follow the same residues down to the same entry point.
+    rep_base = deep + 2 * period + 2 * m * c
+    # delta_bound: four residue paths and two periods, room for both points
+    # of a pair to settle into their classes' behaviour; gaps up to it are
+    # the mid-range, checked point by point, and wider gaps are settled by
+    # classes alone.
+    delta_bound = 4 * m * c + 2 * period
+    # far, beyond: the least multiple of the period above delta_bound, and
+    # one period more; jumps by them keep the class and clear every
+    # transient, and beyond leaves a period for a witness's offset into its
+    # high class.
+    far = period * (1 + delta_bound // period)
+    beyond = far + period
+    # Deep classes, grouped by the key their verdicts depend on (see
+    # _ClassGroup): one descent per key, each checked to be the same from
+    # one period higher.
+    groups: list[_ClassGroup] = []
+    for r, kind in enumerate(kinds):
+        if kind != "neg":
+            groups.append(_ClassGroup(r, m, r, kind))
+            continue
+        stride = abs(ts.fate(r).drift)
+        for anchor in range(r, stride, m):
+            rep = rep_at(anchor, rep_base, period)
+            entry = _descend_entry(sm, rep, deep)
+            assert _descend_entry(sm, rep + period, deep) == entry, "entry point must stabilize"
+            groups.append(_ClassGroup(anchor, stride, r, kind, orbit_profile(sm, entry)))
+    groups.sort(key=lambda g: g.anchor)
+    # exc: the exceptional-channel bound, the top of every entry orbit; below
+    # it concrete orbits may add stray comparabilities, at or above it only
+    # class-periodic channels act.
+    exc = max([rep_base] + [g.entry_profile.max_point() for g in groups if g.kind == "neg"])
+    # x0_base = w_base: one period above exc, so each class has its
+    # mid-range representative in [x0_base, x0_base + period); the points
+    # up to w_base are the low points, checked against every deep class.
+    x0_base = w_base = exc + period
+    # w_final: the top of the window whose pairs are checked point by point,
+    # two residue paths, a period, the largest prefix value and a modulus
+    # above w_base; the window stage raises it to the asymptotic threshold
+    # of every infinite orbit from a low point.
+    w_final = w_base + 2 * m * c + period + max(sm.prefix, default=0) + m
 
     if scope == SCOPE_ALL and "zero" in kinds:
         # two far-apart deep points of a zero-drift residue have disjoint finite orbits
@@ -156,28 +237,9 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
                 return (x0, x0 + far)
         pos_residues = frozenset(pos_cycles[0].residues)
 
-    # deep classes modulo the period, with entry orbits for descending ones
-    classes: list[_DeepClass] = []
-    for q in range(period):
-        r = q % m
-        dc = _DeepClass(q, r, kinds[r])
-        if dc.kind == "neg":
-            rep = rep_at(q, rep_base, period)
-            entry = _descend_entry(sm, rep, deep)
-            assert _descend_entry(sm, rep + period, deep) == entry, "entry point must stabilize"
-            dc.entry_profile = orbit_profile(sm, entry)
-        classes.append(dc)
+    scoped = [g for g in groups if g.in_scope(scope)]
 
-    scoped = [dc for dc in classes if dc.in_scope(scope)]
-
-    # exceptional-channel bound: below it, concrete orbits may add stray
-    # comparabilities; at or above it only class-periodic channels act
-    exc = rep_base
-    for dc in classes:
-        if dc.entry_profile is not None:
-            exc = max(exc, dc.entry_profile.max_point())
-
-    def desc_class_hits(upper: _DeepClass, lower_value: int) -> bool:
+    def desc_class_hits(upper: _ClassGroup, lower_value: int) -> bool:
         """Does the descent of every deep point of ``upper`` pass through
         every deep point congruent to ``lower_value``?"""
         r_lo = lower_value % m
@@ -188,7 +250,7 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         offset = ph.sums[ph.phase_of[r_lo]]
         return (lower_value - upper.anchor - offset) % abs(cyc.drift) == 0
 
-    def covers_up(low: _DeepClass, high: _DeepClass) -> bool:
+    def covers_up(low: _ClassGroup, high: _ClassGroup) -> bool:
         """Do the orbits of deep ``low`` points eventually contain every
         sufficiently large point of ``high``'s class?"""
         if low.kind == "pos":
@@ -197,50 +259,54 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
             return high.residue in low.entry_profile.cycle_residue_set()
         return False
 
-    def covers_down(high: _DeepClass, low: _DeepClass) -> bool:
+    def covers_down(high: _ClassGroup, low_anchor: int) -> bool:
         """Do the orbits of deep ``high`` points contain every deep point of
-        ``low``'s class lying far below them?"""
+        the class ``low_anchor`` lying far below them?"""
         if high.kind != "neg":
             return False
-        if desc_class_hits(high, low.anchor):
+        if desc_class_hits(high, low_anchor):
             return True
-        return not high.entry_profile.finite and low.residue in high.entry_profile.cycle_residue_set()
+        entry = high.entry_profile
+        return not entry.finite and low_anchor % m in entry.cycle_residue_set()
 
-    x0_base = exc + period
-
-    def class_rep(dc: _DeepClass) -> int:
-        return rep_at(dc.anchor, x0_base, period)
+    def class_rep(anchor: int) -> int:
+        return rep_at(anchor, x0_base, period)
 
     # deep residues must all land on their own cycles: a residue feeding a
     # cycle from outside yields same-class deep points that never meet
-    for dc in scoped:
-        if dc.kind == "neg" and not ts.on_cycle(dc.residue):
-            x0 = class_rep(dc)
+    for g in scoped:
+        if g.kind == "neg" and not ts.on_cycle(g.residue):
+            x0 = class_rep(g.anchor)
             return (x0, x0 + far)
 
-    # far-apart deep pairs, one condition per ordered class pair
-    delta_bound = 4 * m * c + 2 * period
-    beyond = period * (delta_bound // period + 2)  # class-preserving jump past every transient
+    # far-apart deep pairs, one condition per ordered class pair.  The classes
+    # of a group meet every other group alike: desc_class_hits reads the low
+    # anchor only when the low residue lies on the high residue's cycle, and
+    # then only modulo that cycle's |drift|, which is the low group's stride.
     for low in scoped:
         for high in scoped:
-            if not (covers_up(low, high) or covers_down(high, low)):
-                x0 = class_rep(low)
+            if not (covers_up(low, high) or covers_down(high, low.anchor)):
+                x0 = class_rep(low.anchor)
                 delta = (high.anchor - low.anchor) % period + beyond
                 return (x0, x0 + delta)
 
-    # mid-range deep pairs via representatives above the exceptional bound
-    for lowc in scoped:
-        x0 = class_rep(lowc)
-        for highc in scoped:
-            delta0 = (highc.anchor - lowc.anchor) % period
-            for delta in range(delta0 or period, delta_bound + 1, period):
-                if not _comparable(sm, x0, x0 + delta):
-                    return (x0, x0 + delta)
+    # mid-range deep pairs via representatives above the exceptional bound;
+    # each such pair lies in mid, so a chain there settles them all
+    mid_top = x0_base + period + delta_bound
+    mid = sorted(
+        y for g in scoped for y in range(rep_at(g.anchor, x0_base, g.stride), mid_top + 1, g.stride)
+    )
+    if not _is_chain(sm, mid):
+        anchors = sorted(a for g in scoped for a in range(g.anchor, period, g.stride))
+        for low_anchor in anchors:
+            x0 = class_rep(low_anchor)
+            for high_anchor in anchors:
+                delta0 = (high_anchor - low_anchor) % period
+                for delta in range(delta0 or period, delta_bound + 1, period):
+                    if not _comparable(sm, x0, x0 + delta):
+                        return (x0, x0 + delta)
 
     # window: transitional pairs and everything below the deep band
-    max_prefix = max(sm.prefix, default=0)
-    w_base = exc + period
-    w_final = w_base + 2 * m * c + period + max_prefix + m
     profiles = {x: orbit_profile(sm, x) for x in range(w_base + 1)}
     top_of = {}
     for x, p in profiles.items():
@@ -256,23 +322,18 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         if not in_scope_pt(x):
             continue
         p = profiles[x]
-        for dc in scoped:
-            if not p.finite and dc.residue in p.cycle_residue_set():
+        for g in scoped:
+            if not p.finite and g.residue in p.cycle_residue_set():
                 continue  # the orbit of x eventually swallows the whole class
-            if dc.kind == "neg" and (
-                (x >= deep and desc_class_hits(dc, x))
-                or dc.entry_profile.hitting(x) is not None
+            if g.kind == "neg" and (
+                (x >= deep and desc_class_hits(g, x))
+                or g.entry_profile.hitting(x) is not None
             ):
                 continue
-            y = rep_at(dc.anchor, max(w_final, top_of[x], x + m * c) + 1, period)
+            y = rep_at(g.anchor, max(w_final, top_of[x], x + m * c) + 1, period)
             return (x, y)
 
-    scoped_window = [x for x in range(w_final + 1) if in_scope_pt(x)]
-    for i, x in enumerate(scoped_window):
-        for y in scoped_window[i + 1 :]:
-            if not _comparable(sm, x, y):
-                return (x, y)
-    return None
+    return _first_incomparable(sm, [x for x in range(w_final + 1) if in_scope_pt(x)])
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ def _check_natural(value: object, what: str) -> int:
     return value
 
 
+def _cache_hash(sm: object, fields: tuple) -> None:
+    """Store the hash of a map's fields once: maps key every orbit cache, and
+    rehashing their tuples on each lookup cost most of a cached call.
+    Equality still compares the fields."""
+    object.__setattr__(sm, "_hash", hash(fields))
+
+
 @dataclass(frozen=True)
 class FiniteTable:
     """A self-map on [0, n) stored as a lookup table."""
@@ -47,6 +54,10 @@ class FiniteTable:
         for i, v in enumerate(self.table):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise InvalidMap(f"table entry {v!r} at {i} is outside [0, {n})")
+        _cache_hash(self, (self.table,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -97,6 +108,10 @@ class DescribedNatMap:
                 raise InvalidMap(
                     f"shift {c} for residue {r} maps some natural below zero"
                 )
+        _cache_hash(self, (self.prefix, self.modulus, self.shifts))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def prefix_len(self) -> int:

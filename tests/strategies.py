@@ -2,7 +2,12 @@
 
 from hypothesis import strategies as st
 
-from quasinv import DescribedNatMap
+from quasinv import DescribedNatMap, FiniteTable
+
+# every self-map of [0, n) for n up to 5
+finite_maps = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[st.integers(0, n - 1)] * n).map(FiniteTable)
+)
 
 # nonnegative shifts and a short prefix: every orbit closes or climbs
 nat_maps = st.integers(1, 3).flatmap(

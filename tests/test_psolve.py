@@ -1,6 +1,11 @@
 """Superset-preservation predicates, solvers, the reachability order, and indivisibility."""
 
+from itertools import combinations
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from strategies import descending_maps, finite_maps, nat_maps
 
 from quasinv import (
     DescribedNatMap,
@@ -17,7 +22,15 @@ from quasinv import (
     solve_P2,
 )
 from quasinv.orbits import hitting_time, orbit_profile
-from quasinv.psolve import SCOPE_ALL, SCOPE_INFINITE, total_order_witness
+from quasinv.psolve import (
+    SCOPE_ALL,
+    SCOPE_INFINITE,
+    _comparable,
+    _first_incomparable,
+    _is_chain,
+    total_order_witness,
+)
+from quasinv.selfmap import parse_map
 
 SUCC = named_map("succ")
 IDENT = named_map("id")
@@ -94,6 +107,100 @@ def test_total_order_deep_obstructions():
     wit = total_order_witness(broken, SCOPE_ALL)
     assert hitting_time(broken, wit[0], wit[1]) is None
     assert hitting_time(broken, wit[1], wit[0]) is None
+
+
+any_map = st.one_of(nat_maps, descending_maps, finite_maps)
+
+
+def _domain(sm, bound):
+    return range(sm.size) if isinstance(sm, FiniteTable) else range(bound + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    any_map.flatmap(
+        lambda sm: st.tuples(
+            st.just(sm), st.lists(st.sampled_from(_domain(sm, 40)), max_size=8, unique=True)
+        )
+    )
+)
+@example((SUCC, [5, 0, 3]))
+@example((DescribedNatMap((0,), 1, (-1,)), [4, 9, 0, 2]))
+@example((SHIFT2, [0, 2, 1]))
+@example((FiniteTable((1, 0, 3, 2)), [0, 1, 2]))
+def test_chain_test_agrees_with_pairwise_scan(case):
+    sm, pts = case
+    pairs = [(x, y) for i, x in enumerate(pts) for y in pts[i + 1 :]]
+    first = next(((x, y) for x, y in pairs if not _comparable(sm, x, y)), None)
+    assert _is_chain(sm, pts) == (first is None)
+    assert _first_incomparable(sm, pts) == first
+
+
+@pytest.mark.parametrize(
+    "sm, scope, witness",
+    [
+        (IDENT, SCOPE_ALL, (6, 13)),  # zero-drift residue
+        (ZERO_FIX, SCOPE_ALL, (0, 11)),  # finite orbit below a rising one
+        (DescribedNatMap((), 2, (4, 6)), SCOPE_ALL, (80, 165)),  # two positive cycles
+        (SHIFT2, SCOPE_ALL, (16, 35)),  # drift off the modulus
+        (DescribedNatMap((), 2, (3, 2)), SCOPE_ALL, (36, 74)),  # rising residue feeding a cycle
+        (DescribedNatMap((8, 14), 2, (-2, 1)), SCOPE_ALL, (33, 63)),  # falling feeder
+        (DescribedNatMap((22, 26), 1, (-2,)), SCOPE_ALL, (28, 49)),  # far-apart classes
+        (DescribedNatMap((30, 33, 19, 34, 26, 14), 1, (-5,)), SCOPE_ALL, (45, 86)),
+        (DescribedNatMap((1, 17, 1, 34, 3, 14), 2, (-6, 2)), SCOPE_INFINITE, (84, 164)),
+        (DescribedNatMap((1, 18), 1, (-1,)), SCOPE_ALL, (0, 44)),  # low point
+        (DescribedNatMap((9, 2), 2, (2, -2)), SCOPE_INFINITE, (0, 59)),
+        (BULLET, SCOPE_ALL, (0, 1)),  # window
+    ],
+)
+def test_total_order_witness_values(sm, scope, witness):
+    # the first incomparable pair each stage of the decider finds, pinned
+    assert total_order_witness(sm, scope) == witness
+
+
+def _period_map(ks):
+    # the benchmark's drift-period maps: m - 1 fixed residues falling by k*m,
+    # one rising by m, over an identity prefix
+    m = len(ks) + 1
+    shifts = tuple([-k * m for k in ks] + [m])
+    return DescribedNatMap(tuple(range(max(k * m for k in ks))), m, shifts)
+
+
+@pytest.mark.parametrize(
+    "ks, witness",
+    [
+        ((5, 7), (0, 497)),
+        ((3, 4, 5), (0, 839)),
+        ((4, 5, 7), (0, 1615)),
+        ((5, 7, 8), (0, 2803)),
+        ((5, 7, 9), (0, 3151)),
+        ((5, 7, 9, 11), (0, 35829)),
+    ],
+)
+def test_period_maps_total_on_infinite_orbits(ks, witness):
+    sm = _period_map(ks)
+    if ks == (5, 7, 9, 11):  # period 17325, also run from the command line in CI
+        data = Path(__file__).parent / "data" / "period_17325.json"
+        assert parse_map(data.read_text()) == sm
+    assert total_order_witness(sm, SCOPE_INFINITE) is None
+    assert solve_P2(sm) is not None
+    assert total_order_witness(sm, SCOPE_ALL) == witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_map, st.sampled_from([SCOPE_ALL, SCOPE_INFINITE]))
+def test_witness_in_scope_and_incomparable(sm, scope):
+    def in_scope(x):
+        return scope == SCOPE_ALL or not orbit_profile(sm, x).finite
+
+    wit = total_order_witness(sm, scope)
+    if wit is not None:
+        x, y = wit
+        assert x < y and in_scope(x) and in_scope(y)
+        assert hitting_time(sm, x, y) is None and hitting_time(sm, y, x) is None
+        return
+    pts = [x for x in _domain(sm, 30) if in_scope(x)]
+    assert all(_comparable(sm, x, y) for x, y in combinations(pts, 2))
 
 
 def test_solve_p1():

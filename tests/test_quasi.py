@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from strategies import finite_maps
 
 from quasinv import (
     DescribedNatMap,
@@ -119,11 +120,6 @@ def test_identity_decision_validation():
         identity_decision(FiniteTable((0, 1)), "subsets", 3)
     with pytest.raises(NotNatDomain):
         identity_decision(FiniteTable((0, 1)), "intervals", 1)
-
-
-finite_maps = st.integers(1, 5).flatmap(
-    lambda n: st.tuples(*[st.integers(0, n - 1)] * n).map(FiniteTable)
-)
 
 
 @given(finite_maps, st.data(), st.integers(0, 2))

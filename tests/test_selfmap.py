@@ -2,7 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
-from strategies import descending_maps, nat_maps
+from strategies import descending_maps, finite_maps, nat_maps
 
 from quasinv import (
     DescribedNatMap,
@@ -14,6 +14,7 @@ from quasinv import (
     parse_map,
     serialize_map,
 )
+from quasinv.orbits import orbit_profile
 from quasinv.selfmap import map_from_obj, parse_interval, parse_point_set, point_index
 
 
@@ -83,9 +84,6 @@ def test_point_set_and_interval_parsing():
         parse_interval({"interval": [7, 2]})
 
 
-finite_maps = st.integers(1, 5).flatmap(
-    lambda n: st.tuples(*[st.integers(0, n - 1)] * n).map(FiniteTable)
-)
 any_map = st.one_of(finite_maps, nat_maps)
 
 
@@ -133,3 +131,15 @@ def test_point_index_matches_scan(sm, fixed, far):
     assert (sm(p) == p) == fixed
     assert idx.below(p) == n and idx.below(p + 1) == n + 1
     assert idx.nth(idx.below(window + far)) >= window + far
+
+
+def test_equal_maps_hash_alike_and_share_profiles():
+    pairs = [
+        (DescribedNatMap((3, 0), 2, (2, -1)), DescribedNatMap([3, 0], 2, [2, -1])),
+        (FiniteTable((1, 2, 0)), FiniteTable([1, 2, 0])),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert orbit_profile(b, 1) is orbit_profile(a, 1)
+    assert DescribedNatMap((3, 0), 2, (2, -1)) != DescribedNatMap((3, 1), 2, (2, -1))
