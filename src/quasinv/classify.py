@@ -135,11 +135,6 @@ class IntervalClassification:
     n_star: Optional[int]
     moved: PointIndex = field(repr=False, compare=False)
 
-    def nonfixed_in(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """(index, point) pairs for the non-fixed points inside [lo, hi]."""
-        first, end = self.moved.below(lo), self.moved.below(hi + 1)
-        return [(i, self.moved.nth(i)) for i in range(first, end)]
-
     def b(self, n: int) -> int:
         """The n-th non-fixed point (0-based); IndexError when there are fewer."""
         return self.moved.nth(n)
@@ -152,25 +147,41 @@ class IntervalWitnessSelector:
         self.cls = cls
 
     def choose(self, lo: int, hi: int) -> int:
+        """The removal point for [lo, hi]: the point whose image escapes, else lo.
+
+        Write x_i for the i-th non-fixed point, so [lo, hi] holds x_first up
+        to x_last.  Indices up to ``up_top`` form the upward branch, the rest
+        the downward one, and each branch has one point that can escape, so
+        the answer takes constant work at any height and width:
+
+        * An ascending index has x_i < f(x_i) <= x_{i+1}: its point never
+          escapes below lo, and escapes above hi only if x_{i+1} > hi, so the
+          upward branch's only candidate is x_min(last, up_top).
+        * A descending index has x_{i-1} <= f(x_i) < x_i: its point never
+          escapes above hi, and escapes below lo only if x_{i-1} < lo, so the
+          downward branch's only candidate is x_max(first, up_top + 1).
+        * The pivot, index n_star + 1, may jump anywhere on its side.  In the
+          third pattern it ascends and is the top of the upward branch
+          (up_top = n_star + 1); in the second it descends and is the bottom
+          of the downward one (up_top = n_star).  Either way, when it lies in
+          [lo, hi] it is its branch's candidate.
+
+        In the all-ascending first pattern every index is upward (up_top =
+        last).
+        """
         if lo > hi:
             raise ValueError("empty interval")
-        sm = self.cls.sm
-        bs = self.cls.nonfixed_in(lo, hi)
-        if self.cls.case == 1:
-            up = [x for _, x in bs if sm(x) > hi]
-            assert len(up) <= 1, "the ascending branch point must be unique"
-            return up[0] if up else lo
-        # the pivot entry ascends in the third pattern and descends in the
-        # second, so it joins the matching escape branch
-        up_top = self.cls.n_star + (1 if self.cls.case == 3 else 0)
-        up = [x for i, x in bs if i <= up_top and sm(x) > hi]
-        down = [x for i, x in bs if i > up_top and sm(x) < lo]
-        assert len(up) <= 1 and len(down) <= 1, "branch points must be unique"
+        sm, moved, case = self.cls.sm, self.cls.moved, self.cls.case
+        first, last = moved.below(lo), moved.below(hi + 1) - 1
+        up_top = last if case == 1 else self.cls.n_star + (1 if case == 3 else 0)
+        up_i, down_i = min(last, up_top), max(first, up_top + 1)
+        up = first <= up_i and sm(moved.nth(up_i)) > hi
+        down = down_i <= last and sm(moved.nth(down_i)) < lo
         assert not (up and down), "the two pivot branches cannot both fire"
         if up:
-            return up[0]
+            return moved.nth(up_i)
         if down:
-            return down[0]
+            return moved.nth(down_i)
         return lo
 
 

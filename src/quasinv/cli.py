@@ -165,11 +165,14 @@ def _cmd_verify(args) -> int:
     )
     report = oracle_mod.run_theorem_suite(cfg)
     if args.json:
-        print(report.to_json())
+        print(report.to_json(timings=True))
     else:
         for check in sorted(report.checks, key=lambda c: c.check):
             status = "ok  " if check.passed else "FAIL"
-            print(f"{status} {check.check} instances={check.instances} failures={len(check.failures)}")
+            print(
+                f"{status} {check.check} instances={check.instances} "
+                f"failures={len(check.failures)} seconds={check.seconds:.3f}"
+            )
             for failure in check.failures[:3]:
                 print(f"     counterexample: {json.dumps(failure, sort_keys=True)}")
         print(f"{'passed' if report.passed else 'FAILED'}: {report.failure_count} failures")

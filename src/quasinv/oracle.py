@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from . import classify as classify_mod
@@ -56,16 +57,52 @@ def brute_force_w_table(sm: FiniteTable) -> Optional[dict[frozenset, int]]:
     return out
 
 
+def _images(sm: SelfMap, bound: int) -> list[int]:
+    """The images of 0..bound, read once so the brute-force loops index a list."""
+    return [sm(x) for x in range(bound + 1)]
+
+
 def brute_force_interval_w(sm: DescribedNatMap, bound: int) -> Optional[tuple[int, int]]:
     """First subinterval of [0, bound] admitting no removal witness, or None."""
+    img = _images(sm, bound)
     for lo in range(bound + 1):
         for hi in range(lo, bound + 1):
             pts = range(lo, hi + 1)
             if not any(
-                all(lo <= sm(x) <= hi for x in pts if x != a) for a in pts
+                all(lo <= img[x] <= hi for x in pts if x != a) for a in pts
             ):
                 return (lo, hi)
     return None
+
+
+class _Walk:
+    """The orbit of one start point, walked with the map only as far as asked.
+
+    ``first`` maps every point met so far to the step at which the walk first
+    met it.  The walk is kept, so each orbit is walked once however many
+    queries it answers.
+    """
+
+    def __init__(self, sm: SelfMap, start: int):
+        self.sm = sm
+        self.first = {start: 0}
+        self.last = start
+        self.closed = False  # the walk came back to a point: the orbit is all listed
+
+    def reaches(self, targets) -> bool:
+        """Walk on until every target is met; False when the orbit closes first."""
+        first = self.first
+        missing = {t for t in targets if t not in first}
+        y = self.last
+        while missing and not self.closed:
+            y = self.sm(y)
+            if y in first:
+                self.closed = True
+            else:
+                first[y] = len(first)
+                missing.discard(y)
+        self.last = y
+        return not missing
 
 
 @dataclass(frozen=True)
@@ -138,6 +175,7 @@ class CheckResult:
     description: str
     instances: int
     failures: list[dict] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the check's run
 
     @property
     def passed(self) -> bool:
@@ -157,26 +195,33 @@ class SuiteReport:
     def failure_count(self) -> int:
         return sum(len(c.failures) for c in self.checks)
 
-    def to_json(self) -> str:
-        obj = {
-            "config": {
-                "theorems": list(self.config.theorems) if self.config.theorems else None,
-                "n_max": self.config.n_max,
-                "window": self.config.window,
-                "samples": self.config.samples,
-                "seed": self.config.seed,
-            },
-            "passed": self.passed,
-            "checks": [
-                {
-                    "check": c.check,
-                    "description": c.description,
-                    "instances": c.instances,
-                    "failures": c.failures,
-                }
-                for c in sorted(self.checks, key=lambda c: c.check)
-            ],
+    def to_json(self, timings: bool = False) -> str:
+        """The report as JSON; byte-identical across runs unless ``timings``.
+
+        ``timings`` adds each check's ``seconds`` and, under the config's
+        ``generator``, the ``GenParams`` that drew the random maps.
+        """
+        config = {
+            "theorems": list(self.config.theorems) if self.config.theorems else None,
+            "n_max": self.config.n_max,
+            "window": self.config.window,
+            "samples": self.config.samples,
+            "seed": self.config.seed,
         }
+        if timings:
+            config["generator"] = asdict(GenParams())
+        checks = []
+        for c in sorted(self.checks, key=lambda c: c.check):
+            entry = {
+                "check": c.check,
+                "description": c.description,
+                "instances": c.instances,
+                "failures": c.failures,
+            }
+            if timings:
+                entry["seconds"] = c.seconds
+            checks.append(entry)
+        obj = {"config": config, "passed": self.passed, "checks": checks}
         return json.dumps(obj, sort_keys=True, indent=2)
 
 
@@ -376,6 +421,7 @@ def _check_shared_point_minimality(cfg: SuiteConfig) -> _Recorder:
     maps += [sm for sm in enumerate_finite_maps(min(cfg.n_max, 3))]
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(9)
+        walks = {a: _Walk(sm, a) for a in pts}
         for istar in _subsets_upto(pts, 3):
             z = orbits_mod.xi(sm, istar)
             if z is None:
@@ -385,23 +431,14 @@ def _check_shared_point_minimality(cfg: SuiteConfig) -> _Recorder:
             for a in istar:
                 up = orbits_mod.orbit_profile(sm, a).points_upto(bound)
                 common = up if common is None else common & up
-
-            def cost(pt: int) -> int:
-                total = 0
-                for a in istar:
-                    y, steps = a, 0
-                    while y != pt:
-                        y = sm(y)
-                        steps += 1
-                    total += steps
-                return total
-
-            zc = cost(z.point)
-            ok = (
-                z.point in common
-                and zc == sum(z.hitting_times.values())
-                and all(zc < cost(c) or (zc == cost(c) and z.point <= c) for c in common)
-            )
+            # a finite orbit that closes before meeting a common point fails
+            ok = z.point in common and all(walks[a].reaches(common) for a in istar)
+            if ok:
+                cost = {c: sum(walks[a].first[c] for a in istar) for c in common}
+                zc = cost[z.point]
+                ok = zc == sum(z.hitting_times.values()) and all(
+                    zc < cost[c] or (zc == cost[c] and z.point <= c) for c in common
+                )
             rec.check(ok, sm, istar=list(istar), point=z.point)
     return rec
 
@@ -414,24 +451,38 @@ def _check_shared_point_minimality(cfg: SuiteConfig) -> _Recorder:
 def _check_quasi_oracle(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     for n in range(1, cfg.n_max + 1):
+        sets = []
+        for mask in range(1, 1 << n):
+            lam = tuple(x for x in range(n) if mask >> x & 1)
+            sets.append((mask, lam, [1 << x for x in lam]))
         for sm in enumerate_finite_maps(n):
-            for mask in range(1, 1 << n):
-                lam = tuple(x for x in range(n) if mask >> x & 1)
-                img = {sm(x) for x in lam}
-                excess = img - set(lam)
+            table = sm.table
+            for mask, lam, bits in sets:
+                # escapes: the points of lam whose image leaves it; img: the image
+                esc = img = 0
+                for x, bit in zip(lam, bits):
+                    y = 1 << table[x]
+                    img |= y
+                    if not y & mask:
+                        esc |= bit
+                excess = (img & ~mask).bit_count()
+                # independent route: enumerate removal sets by size for the fewest
+                # removals (up to two) after which no image escapes
+                fewest = next(
+                    (
+                        size
+                        for size in range(3)
+                        if any(esc & ~sum(p) == 0 for p in itertools.combinations(bits, size))
+                    ),
+                    3,
+                )
                 for k in range(3):
-                    # independent route: enumerate removal sets
-                    internal_direct = any(
-                        all(sm(x) in set(lam) for x in lam if x not in p)
-                        for size in range(k + 1)
-                        for p in itertools.combinations(lam, size)
-                    )
                     rep_i = quasi_mod.internal_quasi_invariant(sm, lam, k)
                     rep_e = quasi_mod.external_quasi_invariant(sm, lam, k)
-                    ok = rep_i.holds == internal_direct and rep_e.holds == (len(excess) <= k)
+                    ok = rep_i.holds == (fewest <= k) and rep_e.holds == (excess <= k)
                     if rep_i.holds:
-                        keep = [x for x in lam if x not in rep_i.witness]
-                        ok = ok and len(rep_i.witness) <= k and all(sm(x) in set(lam) for x in keep)
+                        removed = sum(bit for x, bit in zip(lam, bits) if x in rep_i.witness)
+                        ok = ok and len(rep_i.witness) <= k and esc & ~removed == 0
                     rec.check(ok, sm, lam=list(lam), k=k)
     return rec
 
@@ -534,12 +585,13 @@ def _check_interval_classifier(cfg: SuiteConfig) -> _Recorder:
             rec.check(True, sm)
             continue
         _, sel = res
+        img = _images(sm, bound)
         ok = True
         for lo in range(bound + 1):
             for hi in range(lo, bound + 1):
                 w = sel.choose(lo, hi)
                 if not lo <= w <= hi or any(
-                    not lo <= sm(x) <= hi for x in range(lo, hi + 1) if x != w
+                    not lo <= img[x] <= hi for x in range(lo, hi + 1) if x != w
                 ):
                     ok = False
                     break
@@ -593,20 +645,20 @@ def _check_superset_union(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     for n in range(1, cfg.n_max + 1):
         for sm in enumerate_finite_maps(n):
+            table = sm.table
             closed = []
             for gmask in range(1, 1 << n):
                 g = [x for x in range(n) if gmask >> x & 1]
-                if all(gmask >> sm(x) & 1 for x in g):
+                if all(gmask >> table[x] & 1 for x in g):
                     closed.append((gmask, g))
             for gmask, g in closed:
-                for imask in range(1, gmask + 1):
-                    if imask | gmask != gmask:
-                        continue
+                # every nonempty submask of gmask, in increasing order
+                imask = -gmask & gmask
+                while imask:
                     istar = [x for x in g if imask >> x & 1]
-                    if not istar:
-                        continue
                     rebuilt = supersets_mod.build_G_orbit_union(sm, istar, g)
                     rec.check(list(rebuilt) == g, sm, istar=istar, g=g)
+                    imask = (imask - gmask) & gmask
             # forward direction: every orbit union is closed and contains its seed
             for imask in range(1, 1 << n):
                 istar = [x for x in range(n) if imask >> x & 1]
@@ -905,6 +957,8 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     results = []
     for check_id in sorted(selected):
         description, fn = CHECKS[check_id]
+        t0 = time.perf_counter()
         rec = fn(config)
-        results.append(CheckResult(check_id, description, rec.instances, rec.failures))
+        seconds = time.perf_counter() - t0
+        results.append(CheckResult(check_id, description, rec.instances, rec.failures, seconds))
     return SuiteReport(config, results)

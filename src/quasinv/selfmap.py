@@ -67,9 +67,11 @@ class FiniteTable:
         return range(self.size)
 
     def __call__(self, x: int) -> int:
-        if not 0 <= x < self.size:
-            raise OutOfDomain(f"{x} is outside [0, {self.size})")
-        return self.table[x]
+        # len() rather than the size property: this is the oracle's hottest call
+        table = self.table
+        if not 0 <= x < len(table):
+            raise OutOfDomain(f"{x} is outside [0, {len(table)})")
+        return table[x]
 
     def iterate(self, x: int, k: int) -> int:
         """Apply the map ``k`` times; ``k = 0`` returns ``x`` unchanged."""

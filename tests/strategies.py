@@ -30,3 +30,14 @@ descending_maps = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
         shifts=st.lists(st.integers(-mn[1], 3), min_size=mn[0], max_size=mn[0]).map(tuple),
     )
 )
+
+# shifts in [-3, 0] under a short prefix: ascending points up to a pivot, then
+# gentle descents, so the interval classification meets all three of its cases
+pivot_maps = st.tuples(st.integers(1, 3), st.integers(1, 6)).flatmap(
+    lambda mn: st.builds(
+        DescribedNatMap,
+        prefix=st.lists(st.integers(0, 9), min_size=mn[1], max_size=mn[1]).map(tuple),
+        modulus=st.just(mn[0]),
+        shifts=st.lists(st.integers(-min(3, mn[1]), 0), min_size=mn[0], max_size=mn[0]).map(tuple),
+    )
+)

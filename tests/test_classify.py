@@ -1,6 +1,7 @@
 """Subset and interval one-removal classifications plus their selectors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasinv import (
     DescribedNatMap,
@@ -13,6 +14,8 @@ from quasinv import (
     named_map,
 )
 from quasinv.oracle import brute_force_interval_w, brute_force_w_table, named_corpus
+
+from strategies import descending_maps, nat_maps, pivot_maps
 
 SUCC = named_map("succ")
 IDENT = named_map("id")
@@ -106,17 +109,65 @@ def test_interval_b_sequence_access():
     assert [res[0].b(n) for n in range(3)] == [1, 3, 5]
 
 
+def nonfixed_in(cls, lo, hi):
+    """(index, point) pairs for the non-fixed points inside [lo, hi]."""
+    first, end = cls.moved.below(lo), cls.moved.below(hi + 1)
+    return [(i, cls.moved.nth(i)) for i in range(first, end)]
+
+
+def listing_choose(cls, lo, hi):
+    """Reference for ``choose``: list every non-fixed point in [lo, hi] and
+    test each one's image, in O(hi - lo) work."""
+    sm = cls.sm
+    bs = nonfixed_in(cls, lo, hi)
+    if cls.case == 1:
+        up = [x for _, x in bs if sm(x) > hi]
+        assert len(up) <= 1
+        return up[0] if up else lo
+    up_top = cls.n_star + (1 if cls.case == 3 else 0)
+    up = [x for i, x in bs if i <= up_top and sm(x) > hi]
+    down = [x for i, x in bs if i > up_top and sm(x) < lo]
+    assert len(up) <= 1 and len(down) <= 1 and not (up and down)
+    return up[0] if up else down[0] if down else lo
+
+
 def test_interval_selector_answers_at_any_height():
     # case3 moves every point: b(n) = n, and above 1 every point steps down
     cls, sel = classify_intervals_1qi(named_corpus()["case3"])
     top = 10**18
     assert sel.choose(top, top + 3) == top
-    assert cls.b(top) == top and cls.nonfixed_in(top, top + 1) == [(top, top), (top + 1, top + 1)]
+    assert cls.b(top) == top and nonfixed_in(cls, top, top + 1) == [(top, top), (top + 1, top + 1)]
     # roundup moves the odd points only: b(n) = 2n + 1
     cls, sel = classify_intervals_1qi(named_corpus()["roundup"])
     assert cls.b(top // 2) == top + 1
-    assert cls.nonfixed_in(top, top + 3) == [(top // 2, top + 1), (top // 2 + 1, top + 3)]
+    assert nonfixed_in(cls, top, top + 3) == [(top // 2, top + 1), (top // 2 + 1, top + 3)]
     assert sel.choose(top, top + 3) == top + 3
+
+
+@pytest.mark.parametrize("lo", [0, 10**18])
+def test_interval_selector_on_wide_intervals(lo):
+    # all 10^6 + 1 points of [lo, lo + 10^6] move; at 0 none escapes, at
+    # 10^18 the bottom one steps out below, and either way w is lo
+    sm = named_corpus()["case3"]
+    _, sel = classify_intervals_1qi(sm)
+    hi = lo + 10**6
+    w = sel.choose(lo, hi)
+    assert w == lo
+    assert all(lo <= sm(x) <= hi for x in range(lo, hi + 1) if x != w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(nat_maps, descending_maps, pivot_maps),
+    st.one_of(st.integers(0, 40), st.integers(0, 10**4), st.integers(10**18, 10**18 + 100)),
+    st.integers(0, 3000),
+)
+def test_interval_selector_matches_listing(sm, lo, width):
+    res = classify_intervals_1qi(sm)
+    if res is None:
+        return
+    cls, sel = res
+    assert sel.choose(lo, lo + width) == listing_choose(cls, lo, lo + width)
 
 
 def test_interval_selector_sound_and_matches_oracle():

@@ -105,6 +105,18 @@ def test_verify_json(capsys):
     assert report["passed"] is True
 
 
+def test_verify_reports_check_seconds(capsys):
+    argv = ("verify", "--n", "2", "--samples", "5", "--theorem", "enumeration-complete")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    line = next(l for l in out.splitlines() if "enumeration-complete" in l)
+    assert float(line.split("seconds=")[1]) >= 0
+    code, out, _ = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert report["checks"][0]["seconds"] > 0
+    assert report["config"]["generator"]["max_modulus"] == 3
+
+
 def test_export_dot(capsys, map_file):
     code, out, _ = run(capsys, "export-dot", "succ", "--window", "5")
     assert code == 0

@@ -1,7 +1,14 @@
 """Enumeration, brute-force primitives, generation, and suite plumbing."""
 
+import json
+from unittest import mock
+
 import pytest
 
+from quasinv import classify as classify_mod
+from quasinv import orbits as orbits_mod
+from quasinv import quasi as quasi_mod
+from quasinv import supersets as supersets_mod
 from quasinv import (
     BoundTooLarge,
     ConfigError,
@@ -14,6 +21,8 @@ from quasinv import (
     run_theorem_suite,
 )
 from quasinv.oracle import brute_force_interval_w, named_corpus
+from quasinv.orbits import XiResult
+from quasinv.quasi import QuasiInvarianceReport
 
 
 def test_enumeration_counts():
@@ -92,3 +101,70 @@ def test_small_suite_passes():
     report = run_theorem_suite(cfg)
     assert report.passed
     assert all(c.instances > 0 for c in report.checks)
+
+
+def test_timings_only_when_asked():
+    cfg = SuiteConfig(theorems=("enumeration-complete", "strict-classifier-families"), samples=5)
+    report = run_theorem_suite(cfg)
+    assert all(c.seconds > 0 for c in report.checks)
+    plain = json.loads(report.to_json())
+    assert "generator" not in plain["config"]
+    assert all("seconds" not in c for c in plain["checks"])
+    timed = json.loads(report.to_json(timings=True))
+    assert timed["config"]["generator"] == {
+        "max_prefix_len": 3, "max_modulus": 3, "max_shift": 3, "max_prefix_value": 10
+    }
+    assert [c["seconds"] for c in timed["checks"]] == [c.seconds for c in report.checks]
+
+
+# ---------------------------------------------------------------------------
+# Single-line mutants of the code under the rewritten brute-force routes
+# ---------------------------------------------------------------------------
+
+
+def _external_strict_bound(sm, lam, k):
+    pts = set(lam)
+    excess = tuple(sorted({sm(x) for x in pts} - pts))
+    return QuasiInvarianceReport(len(excess) < k, "external", excess)  # should be <=
+
+
+def _xi_hitting_times_off_by_one(sm, istar, real=orbits_mod.xi):
+    res = real(sm, istar)
+    if res is None:
+        return None
+    return XiResult(res.point, {a: t + 1 for a, t in res.hitting_times.items()})
+
+
+def _union_drops_largest(sm, istar, h=(), real=supersets_mod.build_G_orbit_union):
+    return real(sm, istar, h)[:-1]
+
+
+ROUTE_MUTANTS = {
+    "external bound strict": (
+        quasi_mod, "external_quasi_invariant", _external_strict_bound,
+        "quasi-invariance-oracle", {"n_max": 3},
+    ),
+    "xi hitting times off by one": (
+        orbits_mod, "xi", _xi_hitting_times_off_by_one,
+        "shared-point-minimality", {"n_max": 3, "samples": 10},
+    ),
+    "interval selector returns lo": (
+        classify_mod.IntervalWitnessSelector, "choose", lambda self, lo, hi: lo,
+        "interval-classifier-oracle", {"samples": 10},
+    ),
+    "orbit union drops its largest point": (
+        supersets_mod, "build_G_orbit_union", _union_drops_largest,
+        "superset-union-equivalence", {"n_max": 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ROUTE_MUTANTS))
+def test_rewritten_routes_catch_mutants(label):
+    target, attr, mutant, check, kwargs = ROUTE_MUTANTS[label]
+    cfg = SuiteConfig(theorems=(check,), **kwargs)
+    with mock.patch.object(target, attr, mutant):
+        report = run_theorem_suite(cfg)
+    failures = report.checks[0].failures
+    assert failures and all("map" in f for f in failures), label
+    assert run_theorem_suite(cfg).passed, label
