@@ -42,10 +42,13 @@ def _parse_points(text: str) -> tuple[int, ...]:
 
 
 def _window(args) -> int:
-    if getattr(args, "window", None) is not None:
-        return args.window
-    env = os.environ.get("QUASINV_WINDOW")
-    return int(env) if env else DEFAULT_WINDOW
+    w = getattr(args, "window", None)
+    if w is None:
+        env = os.environ.get("QUASINV_WINDOW")
+        w = int(env) if env else DEFAULT_WINDOW
+    if w < 0:
+        raise QuasinvError(f"the window must be a natural number, got {w}")
+    return w
 
 
 def _fmt_set(points) -> str:
@@ -59,6 +62,7 @@ def _fmt_set(points) -> str:
 
 def _cmd_orbit(args) -> int:
     sm = _load_map(args.map)
+    w = _window(args)
     res = orbits_mod.orbit(sm, args.point)
     if res.is_finite:
         print(f"finite tail={list(res.tail)} cycle={list(res.cycle)}")
@@ -68,7 +72,6 @@ def _cmd_orbit(args) -> int:
             f"infinite entry={cert.entry_height} "
             f"residue_cycle={list(cert.residue_cycle)} drift={cert.drift}"
         )
-        w = _window(args)
         omitted = sorted(set(range(w + 1)) - orbits_mod.orbit_profile(sm, args.point).points_upto(w))
         print(f"omitted within [0,{w}]: {omitted}")
     return 0

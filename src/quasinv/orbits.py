@@ -29,37 +29,39 @@ from .selfmap import DescribedNatMap, FiniteTable, SelfMap
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueCycle:
-    """A cycle of the residue map r -> (r + shifts[r]) % m.
+class CyclePhases(NamedTuple):
+    """One period of a cycle of the residue map r -> (r + shifts[r]) % m,
+    started at one of its residues.
 
-    ``residues`` lists the cycle in trajectory order starting from its
-    smallest member; ``drift`` is the total height change over one period
-    (always a multiple of the modulus).
+    Phase q of the period is at residue ``residues[q]``, at height offset
+    ``sums[q]`` from the period's first point (``sums[0] == 0``); a whole
+    period changes the height by ``drift``, always a multiple of the modulus.
     """
 
     residues: tuple[int, ...]
+    sums: tuple[int, ...]
+    phase_of: dict[int, int]  # residue -> phase
     drift: int
-
-    def __len__(self) -> int:
-        return len(self.residues)
+    modulus: int
+    residue_set: frozenset[int]  # the residues, for membership tests
 
 
 @dataclass(frozen=True)
 class TailStructure:
     """Cycle decomposition of the residue map, with per-residue fate."""
 
-    cycles: tuple[ResidueCycle, ...]
+    cycles: tuple[CyclePhases, ...]  # each started from its smallest residue
     cycle_index: tuple[int, ...]  # residue -> index into cycles
     path_len: tuple[int, ...]  # residue -> steps before reaching its cycle
+    phases: tuple[CyclePhases | None, ...]  # residue -> its cycle started there, off-cycle None
 
-    def fate(self, r: int) -> ResidueCycle:
+    def fate(self, r: int) -> CyclePhases:
         return self.cycles[self.cycle_index[r]]
 
     def on_cycle(self, r: int) -> bool:
         return self.path_len[r] == 0
 
-    def positive_cycles(self) -> list[ResidueCycle]:
+    def positive_cycles(self) -> list[CyclePhases]:
         return [c for c in self.cycles if c.drift > 0]
 
 
@@ -71,7 +73,8 @@ def tail_structure(sm: DescribedNatMap) -> TailStructure:
     order = [-1] * m  # visit order within current walk
     cycle_of = [-1] * m
     dist = [-1] * m
-    cycles: list[ResidueCycle] = []
+    phases: list[CyclePhases | None] = [None] * m
+    cycles: list[CyclePhases] = []
 
     for start in range(m):
         if cycle_of[start] >= 0:
@@ -87,11 +90,15 @@ def tail_structure(sm: DescribedNatMap) -> TailStructure:
             k = order[r]
             cyc = walk[k:]
             drift = sum(sm.shifts[q] for q in cyc)
-            rot = cyc.index(min(cyc))
-            cycles.append(ResidueCycle(tuple(cyc[rot:] + cyc[:rot]), drift))
-            for q in cyc:
-                cycle_of[q] = len(cycles) - 1
+            assert drift % m == 0, "cycle drift must be a multiple of the modulus"
+            for i, q in enumerate(cyc):
+                ordered = tuple(cyc[i:] + cyc[:i])
+                sums = tuple(itertools.accumulate((sm.shifts[p] for p in ordered[:-1]), initial=0))
+                phase_of = {p: j for j, p in enumerate(ordered)}
+                phases[q] = CyclePhases(ordered, sums, phase_of, drift, m, frozenset(ordered))
+                cycle_of[q] = len(cycles)
                 dist[q] = 0
+            cycles.append(phases[min(cyc)])
             tail = walk[:k]
         else:
             tail = walk
@@ -102,44 +109,7 @@ def tail_structure(sm: DescribedNatMap) -> TailStructure:
         for q in walk:
             order[q] = -1
 
-    for cyc in cycles:
-        assert cyc.drift % m == 0, "cycle drift must be a multiple of the modulus"
-    return TailStructure(tuple(cycles), tuple(cycle_of), tuple(dist))
-
-
-class CyclePhases(NamedTuple):
-    """One period of a residue cycle, started at one of its residues.
-
-    Phase q of the period is at residue ``residues[q]``, at height offset
-    ``sums[q]`` from the period's first point (``sums[0] == 0``); a whole
-    period changes the height by ``drift``.
-    """
-
-    residues: tuple[int, ...]
-    sums: tuple[int, ...]
-    phase_of: dict[int, int]  # residue -> phase
-    drift: int
-    modulus: int
-    residue_set: frozenset[int]  # the residues, for membership tests
-
-
-@lru_cache(maxsize=None)
-def cycle_phases(sm: DescribedNatMap) -> tuple[CyclePhases | None, ...]:
-    """Per residue: the phases of one period from it when it lies on a
-    cycle of the residue map, else None."""
-    ts = tail_structure(sm)
-    out: list[CyclePhases | None] = []
-    for r in range(sm.modulus):
-        if not ts.on_cycle(r):
-            out.append(None)
-            continue
-        cyc = ts.fate(r)
-        k = cyc.residues.index(r)
-        ordered = cyc.residues[k:] + cyc.residues[:k]
-        sums = tuple(itertools.accumulate((sm.shifts[q] for q in ordered[:-1]), initial=0))
-        phase_of = {q: i for i, q in enumerate(ordered)}
-        out.append(CyclePhases(ordered, sums, phase_of, cyc.drift, sm.modulus, frozenset(ordered)))
-    return tuple(out)
+    return TailStructure(tuple(cycles), tuple(cycle_of), tuple(dist), tuple(phases))
 
 
 def shift_magnitude(sm: DescribedNatMap) -> int:
@@ -196,11 +166,6 @@ class OrbitResult:
     def is_finite(self) -> bool:
         return self.certificate is None
 
-    def points(self) -> tuple[int, ...]:
-        if not self.is_finite:
-            raise ValueError("infinite orbits have no finite point list")
-        return self.tail + self.cycle
-
 
 # Listing an orbit point by point stops above this many points.  At the
 # limit, orbit() of prefix [0], shift -1 peaks at 0.55 GB resident (Python 3.11):
@@ -237,12 +202,13 @@ class _Run(NamedTuple):
             return None
         return q + j * len(ph.sums)
 
-    def listed(self) -> list[int]:
+    def listed(self, count: int) -> list[int]:
+        """The run's first ``count`` points."""
         sums, drift = self.phases.sums, self.phases.drift
         period = len(sums)
-        out = [0] * self.count
+        out = [0] * count
         for q, s in enumerate(sums):
-            n = len(range(q, self.count, period))
+            n = len(range(q, count, period))
             out[q::period] = range(self.v0 + s, self.v0 + s + n * drift, drift)
         return out
 
@@ -282,7 +248,7 @@ class OrbitProfile:
         index = self._index
         nat = isinstance(sm, DescribedNatMap)
         if nat:
-            phases, n0 = cycle_phases(sm), sm.prefix_len
+            phases, n0 = tail_structure(sm).phases, sm.prefix_len
         x, k = start, 0  # x is the point at step k
         while True:
             i = index.get(x)
@@ -367,29 +333,35 @@ class OrbitProfile:
             walked -= run.count
         return self.seq[walked]
 
-    def points(self) -> tuple[int, ...]:
-        """The orbit's points in step order; for an infinite orbit, those
-        before its tail.
+    def points(self, n: int | None = None) -> tuple[int, ...]:
+        """The orbit's first n points in step order, all of them when a
+        finite orbit has fewer.  By default, every point of a finite orbit,
+        or the points before an infinite orbit's tail.
 
         Raises OrbitTooLong above MAX_LISTED_POINTS points.
         """
-        if len(self.seq) == self.length:
-            return self.seq
-        if self.length > MAX_LISTED_POINTS:
+        if n is None or (self.finite and n > self.length):
+            if len(self.seq) == self.length:
+                return self.seq
+            n = self.length
+        elif n <= len(self.seq) and (not self.runs or n <= self.runs[0].base):
+            return self.seq[:n]
+        if n > MAX_LISTED_POINTS:
             raise OrbitTooLong(
-                f"orbit of {self.start} has {self.length} points to list, "
-                f"more than the limit of {MAX_LISTED_POINTS}"
+                f"listing {n} points of the orbit of {self.start} exceeds "
+                f"the limit of {MAX_LISTED_POINTS}"
             )
         out: list[int] = []
-        walked = 0
+        walked = 0  # points of seq listed so far
         for run in self.runs:
-            if run.count is None:
+            if run.base >= n:
                 break
             take = run.base - len(out)
             out += self.seq[walked : walked + take]
             walked += take
-            out += run.listed()
-        out += self.seq[walked:]
+            count = n - run.base
+            out += run.listed(count if run.count is None else min(count, run.count))
+        out += self.seq[walked : walked + n - len(out)]
         return tuple(out)
 
     def max_point(self) -> int:
@@ -582,34 +554,23 @@ def check_p_tilde(sm: SelfMap) -> bool:
 
 
 def p_tilde_witness(sm: SelfMap) -> tuple[int, int] | None:
-    """Two points with disjoint infinite orbits, or None when no such pair exists.
+    """Two points with disjoint infinite orbits, or None when every two
+    infinite orbits intersect (``check_p_tilde``).
 
-    The witness construction mirrors the decision: with two positive cycles,
-    deep points of either never meet; with one positive cycle of drift d*m
-    (d >= 2), same-residue points one modulus apart fall into different
-    height classes and never meet.
+    With two positive cycles, deep points of either never meet; with one
+    positive cycle of drift d*m (d >= 2), same-residue points one modulus
+    apart fall into different height classes and never meet.
     """
-    if isinstance(sm, FiniteTable):
+    if check_p_tilde(sm):
         return None
-    ts = tail_structure(sm)
-    pos = ts.positive_cycles()
     m = sm.modulus
+    # above the lock height a point whose residue lies on a positive cycle
+    # never dips below the prefix, so its orbit is infinite
     base = lock_height(sm) + 1
-
-    def deep_rep(r: int) -> int:
-        x = base + (r - base) % m
-        while not (x + min(cycle_phases(sm)[r].sums) >= sm.prefix_len):
-            x += m
-        return x
-
-    if len(pos) >= 2:
-        a = deep_rep(pos[0].residues[0])
-        b = deep_rep(pos[1].residues[0])
-        return (a, b) if a < b else (b, a)
-    if len(pos) == 1 and pos[0].drift != m:
-        a = deep_rep(pos[0].residues[0])
-        return (a, a + m)
-    return None
+    deep = [base + (c.residues[0] - base) % m for c in tail_structure(sm).positive_cycles()[:2]]
+    if len(deep) == 1:
+        return (deep[0], deep[0] + m)
+    return (min(deep), max(deep))
 
 
 def all_orbits_infinite(sm: SelfMap) -> bool:
@@ -635,7 +596,7 @@ def exists_cofinite_orbit(sm: DescribedNatMap) -> bool:
     ts = tail_structure(sm)
     return (
         len(ts.cycles) == 1
-        and len(ts.cycles[0]) == sm.modulus
+        and len(ts.cycles[0].residues) == sm.modulus
         and ts.cycles[0].drift == sm.modulus
     )
 

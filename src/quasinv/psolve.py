@@ -27,7 +27,6 @@ from .orbits import (
     OrbitProfile,
     all_orbits_infinite,
     check_p_tilde,
-    cycle_phases,
     hitting_time,
     lock_height,
     orbit_profile,
@@ -36,6 +35,7 @@ from .orbits import (
     xi,
 )
 from .selfmap import DescribedNatMap, FiniteTable, SelfMap
+from .supersets import orbit_union
 
 SCOPE_ALL = "all"
 SCOPE_INFINITE = "infinite_only"
@@ -235,20 +235,18 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
             if kinds[r] == "pos" and not ts.on_cycle(r):
                 x0 = rep_at(r, rep_base, m)
                 return (x0, x0 + far)
-        pos_residues = frozenset(pos_cycles[0].residues)
+        pos_residues = pos_cycles[0].residue_set
 
     scoped = [g for g in groups if g.in_scope(scope)]
 
     def desc_class_hits(upper: _ClassGroup, lower_value: int) -> bool:
         """Does the descent of every deep point of ``upper`` pass through
         every deep point congruent to ``lower_value``?"""
-        r_lo = lower_value % m
-        cyc = ts.fate(upper.residue)
-        if not ts.on_cycle(upper.residue) or r_lo not in cyc.residues:
+        ph = ts.phases[upper.residue]
+        q = None if ph is None else ph.phase_of.get(lower_value % m)
+        if q is None:
             return False
-        ph = cycle_phases(sm)[upper.residue]
-        offset = ph.sums[ph.phase_of[r_lo]]
-        return (lower_value - upper.anchor - offset) % abs(cyc.drift) == 0
+        return (lower_value - upper.anchor - ph.sums[q]) % abs(ph.drift) == 0
 
     def covers_up(low: _ClassGroup, high: _ClassGroup) -> bool:
         """Do the orbits of deep ``low`` points eventually contain every
@@ -370,25 +368,6 @@ class HDecomposition:
     case: str  # "infinite" | "finite"
 
 
-def _segment_to(sm: SelfMap, a: int, target: int) -> set[int]:
-    prof = orbit_profile(sm, a)
-    k = prof.hitting(target)
-    assert k is not None
-    return {prof.point_at(i) for i in range(k + 1)}
-
-
-def _orbit_union(
-    sm: SelfMap, whole: Iterable[int], cut: Iterable[int], v: Optional[int]
-) -> set[int]:
-    """The full orbits of ``whole`` plus the orbit segments of ``cut`` up to ``v``."""
-    out: set[int] = set()
-    for a in whole:
-        out.update(orbit_profile(sm, a).points())
-    for a in cut:
-        out.update(_segment_to(sm, a, v))
-    return out
-
-
 def decompose_HHH(sm: SelfMap, g_value: Iterable[int], v_value: int) -> HDecomposition:
     """Split a candidate superset into the canonical three parts and verify its shape.
 
@@ -415,7 +394,7 @@ def decompose_HHH(sm: SelfMap, g_value: Iterable[int], v_value: int) -> HDecompo
         cut, case = h_bar, "finite"
     else:
         raise StructureViolation("some element's orbit must pass through the removal point")
-    if _orbit_union(sm, h_tilde, cut, v_value) != set(g):
+    if orbit_union(sm, h_tilde, cut, v_value) != tuple(g):
         raise StructureViolation("superset is not the prescribed union of orbits and segments")
     return HDecomposition(h, h_bar, h_tilde, case)
 
@@ -466,7 +445,7 @@ def _orbit_solution(sm: SelfMap, mode: str, description: str) -> PSolution:
 
     def g_sel(istar: Iterable[int]) -> tuple[int, ...]:
         inf, fin, v = split(_normalize(istar))
-        return tuple(sorted(_orbit_union(sm, fin, inf, v)))
+        return orbit_union(sm, fin, inf, v)
 
     def u_sel(istar: Iterable[int]) -> int:
         pts = _normalize(istar)
@@ -538,7 +517,7 @@ def solve_P2(sm: SelfMap) -> Optional[PSolution]:
         def g_chain(istar: Iterable[int]) -> tuple[int, ...]:
             pts = _normalize(istar)
             n = max(sprof.hitting(a) for a in pts)
-            return tuple(sorted(sprof.point_at(i) for i in range(n + 1)))
+            return tuple(sorted(sprof.points(n + 1)))
 
         def u_chain(istar: Iterable[int]) -> int:
             pts = _normalize(istar)

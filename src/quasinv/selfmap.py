@@ -63,9 +63,6 @@ class FiniteTable:
     def size(self) -> int:
         return len(self.table)
 
-    def domain(self) -> range:
-        return range(self.size)
-
     def __call__(self, x: int) -> int:
         # len() rather than the size property: this is the oracle's hottest call
         table = self.table
@@ -275,34 +272,3 @@ def map_to_obj(sm: SelfMap) -> dict:
 def serialize_map(sm: SelfMap) -> str:
     """Canonical serialization: sorted keys, defaults omitted, no whitespace."""
     return json.dumps(map_to_obj(sm), sort_keys=True, separators=(",", ":"))
-
-
-def parse_point_set(obj: object) -> tuple[int, ...]:
-    """Parse ``{"set": [...]}`` (or a bare list) into a strictly increasing tuple."""
-    if isinstance(obj, dict):
-        if set(obj) != {"set"}:
-            raise ParseError("point-set object must have exactly the key 'set'")
-        obj = obj["set"]
-    if not isinstance(obj, list):
-        raise ParseError("point set must be a list")
-    for v in obj:
-        _check_natural(v, "set element")
-    if any(a >= b for a, b in zip(obj, obj[1:])):
-        raise ParseError("set elements must be strictly increasing")
-    return tuple(obj)
-
-
-def parse_interval(obj: object) -> tuple[int, int]:
-    """Parse ``{"interval": [lo, hi]}`` into a (lo, hi) pair with lo <= hi."""
-    if isinstance(obj, dict):
-        if set(obj) != {"interval"}:
-            raise ParseError("interval object must have exactly the key 'interval'")
-        obj = obj["interval"]
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise ParseError("interval must be a two-element list")
-    lo, hi = obj
-    _check_natural(lo, "interval endpoint")
-    _check_natural(hi, "interval endpoint")
-    if lo > hi:
-        raise ParseError(f"interval [{lo}, {hi}] is empty")
-    return (lo, hi)

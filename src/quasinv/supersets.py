@@ -17,17 +17,39 @@ from .orbits import orbit_profile
 from .selfmap import DescribedNatMap, PointIndex, SelfMap, point_index
 
 
-def build_G_orbit_union(
-    sm: SelfMap, istar: Iterable[int], h: Iterable[int] = ()
+def orbit_union(
+    sm: SelfMap, whole: Iterable[int], cut: Iterable[int] = (), v: Optional[int] = None
 ) -> tuple[int, ...]:
-    """Union of the orbits over ``istar`` and ``h``; invariant and contains ``istar``."""
+    """The whole orbits of ``whole`` plus the orbit segments of ``cut`` up to
+    ``v``, sorted.
+
+    A start already in the union of whole orbits adds nothing, since that
+    union is closed under the map, so it is skipped.  Raises
+    InfiniteOrbitError on a start of ``whole`` with an infinite orbit, and
+    OrbitTooLong when an orbit or a segment has more than MAX_LISTED_POINTS
+    points.
+    """
     pts: set[int] = set()
-    for a in list(istar) + list(h):
+    for a in whole:
+        if a in pts:
+            continue
         prof = orbit_profile(sm, a)
         if not prof.finite:
             raise InfiniteOrbitError(a)
         pts.update(prof.points())
+    for a in cut:
+        prof = orbit_profile(sm, a)
+        k = prof.hitting(v)
+        assert k is not None, "a segment must end on its orbit"
+        pts.update(prof.points(k + 1))
     return tuple(sorted(pts))
+
+
+def build_G_orbit_union(
+    sm: SelfMap, istar: Iterable[int], h: Iterable[int] = ()
+) -> tuple[int, ...]:
+    """Union of the orbits over ``istar`` and ``h``; invariant and contains ``istar``."""
+    return orbit_union(sm, [*istar, *h])
 
 
 def check_superset_closure(sm: SelfMap, istar: Iterable[int], g_value: Iterable[int]) -> bool:

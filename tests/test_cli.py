@@ -136,7 +136,7 @@ def test_export_dot_finite(capsys, map_file):
     assert code == 0 and "0 -> 1;" in out and "1 -> 0;" in out
 
 
-def test_bad_input_exits_2(capsys, tmp_path):
+def test_bad_input_exits_2(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{не json")
     code, _, err = run(capsys, "orbit", str(bad), "0")
@@ -145,6 +145,16 @@ def test_bad_input_exits_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "qi", "succ", "--set", "zzz", "--k", "1", "--internal")
     assert code == 2
+    # a negative window is malformed, not an empty graph or listing
+    for argv in (
+        ("export-dot", "succ", "--window", "-5"),
+        ("orbit", "succ", "3", "--window", "-5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
+    monkeypatch.setenv("QUASINV_WINDOW", "-2")
+    code, out, err = run(capsys, "orbit", "succ", "3")
+    assert code == 2 and "error:" in err
 
 
 def test_window_env_override(capsys, monkeypatch):

@@ -185,15 +185,25 @@ def _naive(sm, x, steps):
     return walk, first, False
 
 
+def _listing_bound(prof):
+    """The orbit's length plus two periods of its cycle or tail run."""
+    period = prof.length - prof.mu if prof.finite else len(prof.tail_run.phases.sums)
+    return prof.length + 2 * period
+
+
 @settings(max_examples=150, deadline=None)
-@given(nat_maps, st.integers(0, 10**12))
-def test_profile_matches_naive_walk(sm, x):
+@given(nat_maps, st.integers(0, 10**12), st.integers(0, 10**6))
+def test_profile_matches_naive_walk(sm, x, n_draw):
     # shifts are nonnegative here: a finite orbit closes within a few steps,
     # and an infinite one climbs by at least one per step on average, so
     # 2000 steps show every point at or below 200
     prof = orbit_profile(sm, x)
     walk, first, closed = _naive(sm, x, 2000)
     assert prof.finite == closed
+    # the first n points, past the start of an infinite orbit's tail
+    bound = _listing_bound(prof)
+    for n in (n_draw % (bound + 1), bound):
+        assert prof.points(n) == tuple(walk[:n])
     y = x
     for k in range(2000):
         assert prof.point_at(k) == y
@@ -210,10 +220,15 @@ def test_profile_matches_naive_walk(sm, x):
     descending_maps,
     st.one_of(st.integers(0, 5000), st.integers(0, 10**12)),
     st.lists(st.integers(0, 10**13), max_size=5),
+    st.integers(0, 10**6),
 )
-def test_descending_profile_matches_naive_walk(sm, x, far_steps):
+def test_descending_profile_matches_naive_walk(sm, x, far_steps, n_draw):
     prof = orbit_profile(sm, x)
     walk, first, closed = _naive(sm, x, 30_000)
+    # the first n points, as far as the walk went
+    bound = _listing_bound(prof) if closed else min(_listing_bound(prof), len(walk))
+    for n in (n_draw % (bound + 1), bound):
+        assert prof.points(n) == tuple(walk[:n])
     for k in range(min(2000, len(walk))):
         assert prof.point_at(k) == walk[k]
         assert prof.hitting(walk[k]) == k
@@ -269,6 +284,10 @@ def test_listing_limit_is_inclusive(monkeypatch):
     assert len(res.tail) + len(res.cycle) == 1000
     with pytest.raises(OrbitTooLong):
         orbit_profile(STEP_DOWN, 5000).points()
+    with pytest.raises(OrbitTooLong):
+        orbit_profile(named_map("succ"), 0).points(1001)
+    # a finite orbit shorter than the limit lists whole, however many points are asked for
+    assert orbit_profile(STEP_DOWN, 999).points(5000) == tuple(range(999, -1, -1))
 
 
 def test_orbit_of_a_long_descent_lists_every_link():

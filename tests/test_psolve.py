@@ -11,6 +11,7 @@ from quasinv import (
     DescribedNatMap,
     FiniteTable,
     NotAP2Solution,
+    OrbitTooLong,
     StructureViolation,
     check_P,
     decompose_HHH,
@@ -206,6 +207,10 @@ def test_witness_in_scope_and_incomparable(sm, scope):
 def test_solve_p1():
     sol = solve_P1(SUCC)
     assert sol.G((2, 5)) == (2, 3, 4, 5) and sol.u((2, 5)) == 5
+    # segments are listed in closed form, and bounded like every listing
+    assert sol.G((0, 10**6)) == tuple(range(10**6 + 1))
+    with pytest.raises(OrbitTooLong):
+        sol.G((0, 10**9))
     assert solve_P1(SHIFT2) is None
     assert solve_P1(FiniteTable((1, 2, 0, 0))) is not None
     assert solve_P1(BULLET) is not None
@@ -215,6 +220,8 @@ def test_solve_p2():
     sol = solve_P2(SUCC)
     assert sol.u((1, 4)) == 4
     assert set(sol.G((1, 4))) >= {1, 2, 3, 4}
+    with pytest.raises(OrbitTooLong):
+        sol.G((0, 10**9))  # an initial segment of the full orbit of 0
     assert solve_P2(BULLET) is None
     assert solve_P2(ZERO_FIX) is not None
     assert solve_P2(FiniteTable((1, 2, 0))) is not None

@@ -15,7 +15,7 @@ from quasinv import (
     serialize_map,
 )
 from quasinv.orbits import orbit_profile
-from quasinv.selfmap import map_from_obj, parse_interval, parse_point_set, point_index
+from quasinv.selfmap import map_from_obj, point_index
 
 
 def test_eval_succ():
@@ -73,15 +73,6 @@ def test_parse_rejects_bad_entries():
         parse_map('{"kind":"weird"}')
     with pytest.raises(ParseError):
         parse_map('{"kind":"nat","modulus":1,"shifts":[0],"extra":1}')
-
-
-def test_point_set_and_interval_parsing():
-    assert parse_point_set({"set": [1, 4, 9]}) == (1, 4, 9)
-    assert parse_interval({"interval": [2, 7]}) == (2, 7)
-    with pytest.raises(ParseError):
-        parse_point_set({"set": [4, 1]})
-    with pytest.raises(ParseError):
-        parse_interval({"interval": [7, 2]})
 
 
 any_map = st.one_of(finite_maps, nat_maps)

@@ -30,6 +30,16 @@ def test_orbit_union_rejects_infinite():
     with pytest.raises(InfiniteOrbitError) as exc:
         build_G_orbit_union(named_map("succ"), (0,))
     assert exc.value.point == 0
+    # repeated starts and starts already in the union change nothing
+    sm = FiniteTable((1, 2, 0, 3, 0))
+    assert build_G_orbit_union(sm, (4,)) == (0, 1, 2, 4)
+    assert build_G_orbit_union(sm, (4, 4, 0), (1, 2, 4)) == (0, 1, 2, 4)
+    # the error names the start whose orbit is infinite, not a finite one
+    zero_fix = DescribedNatMap((0,), 1, (1,))  # 0 is fixed, every other point climbs
+    for istar, h in (((0, 5), ()), ((0,), (0, 5))):
+        with pytest.raises(InfiniteOrbitError) as exc:
+            build_G_orbit_union(zero_fix, istar, h)
+        assert exc.value.point == 5
 
 
 def test_closure_check():
