@@ -8,9 +8,11 @@ or the construction is absent, 2 on malformed input or a typed library error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 from . import classify as classify_mod
@@ -23,6 +25,10 @@ from .errors import InfiniteOrbitError, QuasinvError
 from .selfmap import NAMED_MAPS, FiniteTable, SelfMap, named_map, parse_map
 
 DEFAULT_WINDOW = 200
+
+# Window outputs are made and written this many points at a time, so their
+# memory stays flat in the window.
+_STREAM_BLOCK = 1 << 16
 
 
 def _load_map(source: str) -> SelfMap:
@@ -60,6 +66,26 @@ def _fmt_set(points) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _write_omitted(out, profile: orbits_mod.OrbitProfile, w: int) -> None:
+    """Write the points of [0, w] off the orbit, as a Python list, block by
+    block: each block drops the slices of the orbit's ascending runs and
+    walked points that fall in it."""
+    parts = [sorted(p for p in profile.seq if p <= w), *profile.runs_upto(w)]
+    # a cofinite orbit holds every point from its threshold on
+    top = min(w, profile.asymptotic_threshold()) if profile.is_cofinite() else w
+    out.write(f"omitted within [0,{w}]: [")
+    sep = ""
+    for b0 in range(0, top + 1, _STREAM_BLOCK):
+        b1 = min(b0 + _STREAM_BLOCK, top + 1)
+        missing = set(range(b0, b1))
+        for part in parts:
+            missing.difference_update(part[bisect_left(part, b0) : bisect_left(part, b1)])
+        if missing:
+            out.write(sep + str(sorted(missing))[1:-1])  # a list's repr, made in C
+            sep = ", "
+    out.write("]\n")
+
+
 def _cmd_orbit(args) -> int:
     sm = _load_map(args.map)
     w = _window(args)
@@ -72,8 +98,7 @@ def _cmd_orbit(args) -> int:
             f"infinite entry={cert.entry_height} "
             f"residue_cycle={list(cert.residue_cycle)} drift={cert.drift}"
         )
-        omitted = sorted(set(range(w + 1)) - orbits_mod.orbit_profile(sm, args.point).points_upto(w))
-        print(f"omitted within [0,{w}]: {omitted}")
+        _write_omitted(sys.stdout, orbits_mod.orbit_profile(sm, args.point), w)
     return 0
 
 
@@ -81,7 +106,7 @@ def _cmd_qi(args) -> int:
     sm = _load_map(args.map)
     if args.interval is not None:
         lo, hi = args.interval
-        lam = tuple(range(lo, hi + 1))
+        lam = range(lo, hi + 1)
     else:
         lam = _parse_points(args.set)
     fn = quasi_mod.internal_quasi_invariant if args.internal else quasi_mod.external_quasi_invariant
@@ -185,23 +210,23 @@ def _cmd_verify(args) -> int:
 def _cmd_export_dot(args) -> int:
     sm = _load_map(args.map)
     w = _window(args)
-    lines = ["digraph selfmap {"]
+    out = sys.stdout
+    out.write("digraph selfmap {\n")
     if isinstance(sm, FiniteTable):
-        for x in range(sm.size):
-            lines.append(f"  {x} -> {sm(x)};")
+        out.writelines(f"  {x} -> {y};\n" for x, y in enumerate(sm.table))
     else:
-        lines.append(f"  // nodes truncated to [0,{w}]; tail rule labels give the residue shift")
-        for x in range(w + 1):
-            y = sm(x)
-            if y > w:
-                continue
-            if x >= sm.prefix_len:
-                shift = sm.shifts[x % sm.modulus]
-                lines.append(f'  {x} -> {y} [label="{shift:+d}"];')
-            else:
-                lines.append(f"  {x} -> {y};")
-    lines.append("}")
-    print("\n".join(lines))
+        out.write(f"  // nodes truncated to [0,{w}]; tail rule labels give the residue shift\n")
+        out.writelines(f"  {x} -> {y};\n" for x, y in enumerate(sm.prefix[: w + 1]) if y <= w)
+        shifts, m = sm.shifts, sm.modulus
+        labels = [f'[label="{c:+d}"]' for c in shifts]
+        for b0 in range(sm.prefix_len, w + 1, _STREAM_BLOCK):
+            block = range(b0, min(b0 + _STREAM_BLOCK, w + 1))
+            out.write("".join([
+                f"  {x} -> {x + shifts[x % m]} {labels[x % m]};\n"
+                for x in block
+                if x + shifts[x % m] <= w
+            ]))
+    out.write("}\n")
     return 0
 
 
@@ -210,7 +235,10 @@ def _cmd_export_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused by
+    later calls in the process; it holds nothing specific to one call."""
     parser = argparse.ArgumentParser(
         prog="quasinv",
         description="orbit analysis and quasi-invariance decisions for self-maps",

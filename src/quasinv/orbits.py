@@ -375,17 +375,24 @@ class OrbitProfile:
     def points_upto(self, bound: int) -> frozenset[int]:
         """All orbit points with value <= bound (exact, not step-count-bounded)."""
         pts = {p for p in self.seq if p <= bound}
+        pts.update(*self.runs_upto(bound))
+        return frozenset(pts)
+
+    def runs_upto(self, bound: int) -> list[range]:
+        """The runs' points with value <= bound, as one ascending range per
+        run phase; with the walked points ``seq``, the orbit up to bound."""
+        out = []
         for run in self.runs:
             sums, drift = run.phases.sums, run.phases.drift
             for q, s in enumerate(sums):
                 top = run.v0 + s
                 if run.count is None:
-                    pts.update(range(top, bound + 1, drift))
+                    out.append(range(top, bound + 1, drift))
                     continue
                 n = len(range(q, run.count, len(sums)))
                 if n:  # a descent: its lowest point in this phase first
-                    pts.update(range(top + (n - 1) * drift, min(top, bound) + 1, -drift))
-        return frozenset(pts)
+                    out.append(range(top + (n - 1) * drift, min(top, bound) + 1, -drift))
+        return out
 
     def cycle_residue_set(self) -> frozenset[int]:
         assert not self.finite

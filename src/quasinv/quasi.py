@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotNatDomain
+from .orbits import shift_magnitude
 from .selfmap import DescribedNatMap, FiniteTable, SelfMap
 
 
@@ -29,31 +30,65 @@ def is_invariant(sm: SelfMap, lam: tuple[int, ...]) -> bool:
     return all(sm(x) in pts for x in pts)
 
 
-def internal_quasi_invariant(sm: SelfMap, lam: tuple[int, ...], k: int) -> QuasiInvarianceReport:
+def _interval_candidates(sm: SelfMap, lam: range):
+    """The points of an interval, given as a ``range``, whose image can leave it.
+
+    Above the prefix x maps to x + s with |s| <= reach = shift_magnitude, so
+    a point at least reach above lo and below hi keeps its image inside, and
+    only the prefix points of the interval and the reach points at either end
+    can escape, O(prefix_len + reach) of them at any width.  A finite table's
+    domain is no larger than its table, so there every point is a candidate.
+    """
+    if lam.step != 1:
+        raise ValueError("an interval is a range of step 1")
+    if isinstance(sm, FiniteTable):
+        return lam
+    lo, hi = lam[0], lam[-1]
+    reach = shift_magnitude(sm)
+    low = range(lo, min(hi + 1, max(sm.prefix_len, lo + reach)))
+    return {*low, *range(max(lo, hi - reach + 1), hi + 1)}
+
+
+def internal_quasi_invariant(
+    sm: SelfMap, lam: tuple[int, ...] | range, k: int
+) -> QuasiInvarianceReport:
     """Can removing at most k points of the set make its image stay inside?
 
     The minimal removal set is exactly the points whose images escape, so the
-    verdict is a size comparison and the witness is unique.
+    verdict is a size comparison and the witness is unique.  An interval
+    given as a ``range`` costs the same at any width.
     """
     if not lam:
         raise ValueError("the set must be nonempty")
     if k < 0:
         raise ValueError("k must be a natural number")
-    pts = set(lam)
-    escapes = tuple(sorted(x for x in pts if sm(x) not in pts))
+    if isinstance(lam, range):
+        pts, candidates = lam, _interval_candidates(sm, lam)
+    else:
+        pts = candidates = set(lam)
+    escapes = tuple(sorted(x for x in candidates if sm(x) not in pts))
     if len(escapes) <= k:
         return QuasiInvarianceReport(True, "internal", escapes)
     return QuasiInvarianceReport(False, "internal", None)
 
 
-def external_quasi_invariant(sm: SelfMap, lam: tuple[int, ...], k: int) -> QuasiInvarianceReport:
-    """Does the image leave the set by at most k points?"""
+def external_quasi_invariant(
+    sm: SelfMap, lam: tuple[int, ...] | range, k: int
+) -> QuasiInvarianceReport:
+    """Does the image leave the set by at most k points?
+
+    An interval given as a ``range`` costs the same at any width.
+    """
     if not lam:
         raise ValueError("the set must be nonempty")
     if k < 0:
         raise ValueError("k must be a natural number")
-    pts = set(lam)
-    excess = tuple(sorted({sm(x) for x in pts} - pts))
+    if isinstance(lam, range):
+        images = {sm(x) for x in _interval_candidates(sm, lam)}
+        excess = tuple(sorted(y for y in images if y not in lam))
+    else:
+        pts = set(lam)
+        excess = tuple(sorted({sm(x) for x in pts} - pts))
     return QuasiInvarianceReport(len(excess) <= k, "external", excess)
 
 

@@ -1,6 +1,9 @@
 """The command-line front end mirrors the library and keeps its exit-code contract."""
 
 import json
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -200,3 +203,137 @@ def test_orbit_too_long_to_list_prints_no_traceback(map_file):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def _calls(capsys, monkeypatch, steps):
+    """Run each (env, argv) step through main; return (code, stdout, stderr) per step."""
+    results = []
+    for env, argv in steps:
+        if env is None:
+            monkeypatch.delenv("QUASINV_WINDOW", raising=False)
+        else:
+            monkeypatch.setenv("QUASINV_WINDOW", env)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        results.append((code, re.sub(r"seconds=\S+", "", out.out), out.err))
+    return results
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch):
+    from quasinv import cli
+
+    verify = ("verify", "--n", "2", "--samples", "5", "--theorem", "enumeration-complete")
+    steps = [
+        (None, ("orbit", "succ", "3")),
+        (None, ("orbit", "succ", "3", "--window", "7")),
+        ("4", ("orbit", "succ", "2")),
+        (None, ("orbit", "succ", "2")),
+        (None, ("qi", "succ", "--set", "0,1,2", "--k", "1", "--external")),
+        (None, ("qi", "succ", "--interval", "3", "7", "--k", "0", "--internal")),
+        (None, ("solve", "succ", "--p1")),
+        (None, ("solve", "succ", "--p2")),
+        (None, verify),
+        (None, verify),
+        (None, ("qi", "succ", "--set", "0", "--interval", "0", "1", "--k", "1", "--internal")),
+        (None, ("orbit", "succ", "3", "--window", "2")),
+    ]
+    reused = _calls(capsys, monkeypatch, steps)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _calls(capsys, monkeypatch, steps)
+    assert reused == fresh
+    assert reused[2][1].endswith("omitted within [0,4]: [0, 1]\n")
+    assert reused[3][1].endswith(f"omitted within [0,{cli.DEFAULT_WINDOW}]: [0, 1]\n")
+    # --theorem appends: the second verify still runs one check
+    assert reused[9][1].count("enumeration-complete") == 1
+    assert reused[10][0] == 2 and reused[11][0] == 0
+
+
+def test_window_outputs_across_blocks(capsys, map_file):
+    from quasinv.cli import _STREAM_BLOCK
+    from quasinv.orbits import orbit_profile
+
+    sm = DescribedNatMap((7, 0, 9), 3, (3, -1, 2))  # every orbit climbs by 3 in class 0
+    path, w = map_file(sm), 2 * _STREAM_BLOCK + 5
+    # the orbit of succ from beyond a block is cofinite, its listing cut at the start
+    for source, m, x in ((path, sm, 0), (path, sm, 1), (path, sm, 5),
+                         ("succ", named_map("succ"), _STREAM_BLOCK + 7)):
+        want = sorted(set(range(w + 1)) - orbit_profile(m, x).points_upto(w))
+        code, out, _ = run(capsys, "orbit", source, str(x), "--window", str(w))
+        assert code == 0 and out.splitlines()[-1] == f"omitted within [0,{w}]: {want}"
+    edges = [f"  {x} -> {sm(x)};" for x in range(3) if sm(x) <= w] + [
+        f'  {x} -> {sm(x)} [label="{sm.shifts[x % 3]:+d}"];'
+        for x in range(3, w + 1)
+        if sm(x) <= w
+    ]
+    code, out, _ = run(capsys, "export-dot", path, "--window", str(w))
+    assert code == 0 and out.splitlines()[2:-1] == edges and out.endswith("}\n")
+
+
+# Runs main() under a 1 GB address-space limit set in the child only, then
+# reports the child's peak resident set in kB on stderr.  The peak is VmHWM,
+# not ru_maxrss: on Linux ru_maxrss keeps the spawning process's peak across
+# exec, so it would report the test runner's.
+_LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quasinv.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    with open("/proc/self/status") as status:
+        peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    print(f"peak_kb={peak}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _limited_main(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=300,
+    )
+    peak = re.search(r"^peak_kb=(\d+)$", proc.stderr, re.M)
+    return proc.returncode, proc.stderr, peak and int(peak[1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_every_subcommand_runs_in_bounded_memory(map_file):
+    from concurrent.futures import ThreadPoolExecutor
+
+    big, window = str(10**18), str(2 * 10**7)
+    step_down = map_file(STEP_DOWN)
+    argvs = [
+        ("orbit", "succ", "3", "--window", window),
+        ("orbit", "succ", big, "--window", window),
+        ("orbit", "succ", "3", "--window", big),
+        ("orbit", step_down, big),
+        ("qi", "succ", "--interval", "0", big, "--k", "1", "--external"),
+        ("qi", "succ", "--interval", big, big + "0", "--k", "1", "--internal"),
+        ("qi", step_down, "--interval", "0", big, "--k", "3", "--internal"),
+        ("qi", "succ", "--set", f"0,{big}", "--k", "1", "--external"),
+        ("classify", step_down, "--intervals"),
+        ("classify", step_down, "--subsets"),
+        ("superset", step_down, "--istar", big),
+        ("superset", "succ", "--istar", big),
+        ("solve", step_down, "--p1"),
+        ("solve", "succ", "--p2"),
+        ("export-dot", "succ", "--window", window),
+    ]
+    with ThreadPoolExecutor(3) as pool:
+        results = list(pool.map(lambda argv: _limited_main(*argv), argvs))
+    for argv, (code, err, _) in zip(argvs, results):
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    exits = {argv: code for argv, (code, _, _) in zip(argvs, results)}
+    assert exits[("orbit", "succ", "3", "--window", window)] == 0
+    assert exits[("orbit", "succ", "3", "--window", big)] == 0
+    assert exits[("qi", "succ", "--interval", "0", big, "--k", "1", "--external")] == 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_orbit_window_peak_is_flat():
+    _, _, small = _limited_main("orbit", "succ", "3", "--window", "1000")
+    code, _, large = _limited_main("orbit", "succ", "3", "--window", str(2 * 10**6))
+    assert code == 0 and large - small < 20 * 1024

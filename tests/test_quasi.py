@@ -1,8 +1,8 @@
 """Invariance, quasi-invariance, and the identity characterizations."""
 
 import pytest
-from hypothesis import given, strategies as st
-from strategies import finite_maps
+from hypothesis import given, settings, strategies as st
+from strategies import descending_maps, finite_maps, nat_maps
 
 from quasinv import (
     DescribedNatMap,
@@ -46,6 +46,31 @@ def test_external_examples():
 def test_nonempty_required():
     with pytest.raises(ValueError):
         internal_quasi_invariant(SUCC, (), 1)
+    with pytest.raises(ValueError):
+        external_quasi_invariant(SUCC, range(5, 3), 1)
+    with pytest.raises(ValueError):  # an interval has step 1
+        internal_quasi_invariant(SUCC, range(0, 10, 2), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(nat_maps, descending_maps), st.integers(0, 400), st.integers(1, 300),
+       st.integers(0, 3))
+def test_interval_closed_form_matches_the_listing(sm, lo, width, k):
+    interval = range(lo, lo + width)
+    for predicate in (internal_quasi_invariant, external_quasi_invariant):
+        fast, listed = predicate(sm, interval, k), predicate(sm, tuple(interval), k)
+        assert (fast.holds, fast.witness) == (listed.holds, listed.witness)
+
+
+def test_interval_at_any_width():
+    top = 10**18
+    rep = external_quasi_invariant(SUCC, range(0, top + 1), 1)
+    assert rep.holds and rep.witness == (top + 1,)
+    rep = internal_quasi_invariant(DescribedNatMap((5, 0), 2, (-1, 3)), range(1, top), 2)
+    assert not rep.holds
+    # a finite table decides a range by listing it
+    rep = internal_quasi_invariant(FiniteTable((1, 2, 0)), range(0, 2), 1)
+    assert rep.holds and rep.witness == (1,)
 
 
 def test_identity_decision_examples():
