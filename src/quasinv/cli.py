@@ -22,13 +22,9 @@ from . import psolve as psolve_mod
 from . import quasi as quasi_mod
 from . import supersets as supersets_mod
 from .errors import InfiniteOrbitError, QuasinvError
-from .selfmap import NAMED_MAPS, FiniteTable, SelfMap, named_map, parse_map
+from .selfmap import BLOCK_POINTS, NAMED_MAPS, FiniteTable, SelfMap, named_map, parse_map
 
 DEFAULT_WINDOW = 200
-
-# Window outputs are made and written this many points at a time, so their
-# memory stays flat in the window.
-_STREAM_BLOCK = 1 << 16
 
 
 def _load_map(source: str) -> SelfMap:
@@ -75,8 +71,8 @@ def _write_omitted(out, profile: orbits_mod.OrbitProfile, w: int) -> None:
     top = min(w, profile.asymptotic_threshold()) if profile.is_cofinite() else w
     out.write(f"omitted within [0,{w}]: [")
     sep = ""
-    for b0 in range(0, top + 1, _STREAM_BLOCK):
-        b1 = min(b0 + _STREAM_BLOCK, top + 1)
+    for b0 in range(0, top + 1, BLOCK_POINTS):
+        b1 = min(b0 + BLOCK_POINTS, top + 1)
         missing = set(range(b0, b1))
         for part in parts:
             missing.difference_update(part[bisect_left(part, b0) : bisect_left(part, b1)])
@@ -217,14 +213,13 @@ def _cmd_export_dot(args) -> int:
     else:
         out.write(f"  // nodes truncated to [0,{w}]; tail rule labels give the residue shift\n")
         out.writelines(f"  {x} -> {y};\n" for x, y in enumerate(sm.prefix[: w + 1]) if y <= w)
-        shifts, m = sm.shifts, sm.modulus
-        labels = [f'[label="{c:+d}"]' for c in shifts]
-        for b0 in range(sm.prefix_len, w + 1, _STREAM_BLOCK):
-            block = range(b0, min(b0 + _STREAM_BLOCK, w + 1))
+        labels = {c: f'[label="{c:+d}"]' for c in sm.shifts}  # by the edge's shift y - x
+        for b0 in range(sm.prefix_len, w + 1, BLOCK_POINTS):
+            block = range(b0, min(b0 + BLOCK_POINTS, w + 1))
             out.write("".join([
-                f"  {x} -> {x + shifts[x % m]} {labels[x % m]};\n"
-                for x in block
-                if x + shifts[x % m] <= w
+                f"  {x} -> {y} {labels[y - x]};\n"
+                for x, y in enumerate(sm.images(block), b0)
+                if y <= w
             ]))
     out.write("}\n")
     return 0

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import OrbitTooLong, OutOfDomain
-from .selfmap import DescribedNatMap, FiniteTable, SelfMap
+from .selfmap import BLOCK_POINTS, DescribedNatMap, FiniteTable, SelfMap
 
 # ---------------------------------------------------------------------------
 # Residue structure of a described map's tail
@@ -168,8 +168,10 @@ class OrbitResult:
 
 
 # Listing an orbit point by point stops above this many points.  At the
-# limit, orbit() of prefix [0], shift -1 peaks at 0.55 GB resident (Python 3.11):
-# the points, the listed tuple and the tail sliced from it.
+# limit, orbit() of prefix [0], shift -1 peaks at 0.55 GB resident (VmHWM,
+# Python 3.11), all of it reached inside points(): the points, the list it
+# builds and the tuple made from it.  The link check holds one block of
+# images at a time.
 MAX_LISTED_POINTS = 10**7
 
 
@@ -428,14 +430,20 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     """Tail/cycle decomposition of the orbit of x, or an infinitude certificate.
 
     Every link of a finite orbit is checked against the map, so the listing
-    raises OrbitTooLong above MAX_LISTED_POINTS points.
+    raises OrbitTooLong above MAX_LISTED_POINTS points.  The check takes
+    BLOCK_POINTS points at a time: their images, from one ``sm.images`` call,
+    must be the points that follow them, and the last point's image must be
+    the cycle's first point.
     """
     prof = orbit_profile(sm, x)
     if prof.finite:
         pts = prof.points()
-        for p, nxt in zip(pts, itertools.islice(pts, 1, None)):
-            assert sm(p) == nxt
-        assert sm(pts[-1]) == pts[prof.mu]
+        b0 = 0
+        while b0 + BLOCK_POINTS < len(pts):  # a full block, and the point after it
+            b1 = b0 + BLOCK_POINTS
+            assert sm.images(pts[b0:b1]) == list(pts[b0 + 1 : b1 + 1])
+            b0 = b1
+        assert sm.images(pts[b0:]) == [*pts[b0 + 1 :], pts[prof.mu]]
         return OrbitResult(tail=pts[: prof.mu], cycle=pts[prof.mu :])
     tail = prof.tail_run
     cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)

@@ -252,14 +252,14 @@ def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch):
 
 
 def test_window_outputs_across_blocks(capsys, map_file):
-    from quasinv.cli import _STREAM_BLOCK
+    from quasinv.selfmap import BLOCK_POINTS
     from quasinv.orbits import orbit_profile
 
     sm = DescribedNatMap((7, 0, 9), 3, (3, -1, 2))  # every orbit climbs by 3 in class 0
-    path, w = map_file(sm), 2 * _STREAM_BLOCK + 5
+    path, w = map_file(sm), 2 * BLOCK_POINTS + 5
     # the orbit of succ from beyond a block is cofinite, its listing cut at the start
     for source, m, x in ((path, sm, 0), (path, sm, 1), (path, sm, 5),
-                         ("succ", named_map("succ"), _STREAM_BLOCK + 7)):
+                         ("succ", named_map("succ"), BLOCK_POINTS + 7)):
         want = sorted(set(range(w + 1)) - orbit_profile(m, x).points_upto(w))
         code, out, _ = run(capsys, "orbit", source, str(x), "--window", str(w))
         assert code == 0 and out.splitlines()[-1] == f"omitted within [0,{w}]: {want}"

@@ -290,6 +290,26 @@ def test_listing_limit_is_inclusive(monkeypatch):
     assert orbit_profile(STEP_DOWN, 999).points(5000) == tuple(range(999, -1, -1))
 
 
+# 0 -> 1 -> ... -> 5 -> 0, and 6 + j -> j + 1: each point of the cycle has a
+# second preimage, so putting p + 6 in the listing for p breaks only the link into p
+TWIN_CYCLE = FiniteTable(tuple((i + 1) % 6 for i in range(12)))
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [1, 4, 0],
+    ids=["first link", "link across the block edge", "closing link back to mu"],
+)
+def test_orbit_checks_every_link_of_the_listing(monkeypatch, wrong):
+    monkeypatch.setattr(orbits_mod, "BLOCK_POINTS", 4)  # blocks [0, 4) and [4, 6)
+    listing = orbit_profile(TWIN_CYCLE, 0).points()
+    assert listing == (0, 1, 2, 3, 4, 5) and orbit(TWIN_CYCLE, 0).cycle == listing
+    corrupt = listing[:wrong] + (listing[wrong] + 6,) + listing[wrong + 1 :]
+    monkeypatch.setattr(orbits_mod.OrbitProfile, "points", lambda self, n=None: corrupt)
+    with pytest.raises(AssertionError):
+        orbit(TWIN_CYCLE, 0)
+
+
 def test_orbit_of_a_long_descent_lists_every_link():
     res = orbit(STEP_DOWN3, 10**6 + 1)
     assert res.cycle == (2,) and res.tail == tuple(range(10**6 + 1, 2, -3))
