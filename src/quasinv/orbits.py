@@ -12,6 +12,10 @@ onto one of that graph's cycles; the cycle's net height drift per period is
 always a multiple of ``m`` (a full loop returns to the same residue), and its
 sign decides infinitude.  All "infinite" questions below reduce to finite
 arithmetic on those cycles.
+
+``xi`` minimizes over the orbits' common segment starts and lists no orbit,
+so shared-point queries answer at any start value; only listings raise
+OrbitTooLong.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import OrbitTooLong, OutOfDomain
 from .selfmap import BLOCK_POINTS, DescribedNatMap, FiniteTable, SelfMap
@@ -319,7 +323,7 @@ class OrbitProfile:
         return None
 
     def __contains__(self, y: int) -> bool:
-        return self.hitting(y) is not None
+        return y in self._index or self.hitting(y) is not None
 
     def point_at(self, k: int) -> int:
         if self.finite and k >= self.length:
@@ -366,6 +370,13 @@ class OrbitProfile:
         out += self.seq[walked : walked + n - len(out)]
         return tuple(out)
 
+    def starts(self) -> Iterator[int]:
+        """The first point of every segment: each walked point, and each
+        point of a run's first period."""
+        yield from self.seq
+        for run in self.runs:
+            yield from (run.v0 + s for s in run.phases.sums[: run.count])
+
     def max_point(self) -> int:
         """Largest point of a finite orbit; for an infinite one, the largest
         before the first period of the tail ends."""
@@ -395,15 +406,6 @@ class OrbitProfile:
                 if n:  # a descent: its lowest point in this phase first
                     out.append(range(top + (n - 1) * drift, min(top, bound) + 1, -drift))
         return out
-
-    def cycle_residue_set(self) -> frozenset[int]:
-        assert not self.finite
-        return self.tail_run.phases.residue_set
-
-    def first_value_at_residue(self, r: int) -> int | None:
-        assert not self.finite
-        q = self.tail_run.phases.phase_of.get(r)
-        return None if q is None else self.tail_run.v0 + self.tail_run.phases.sums[q]
 
     def asymptotic_threshold(self) -> int:
         """Every class-covered point at or above this value is in the orbit."""
@@ -473,30 +475,6 @@ def orbits_intersect(sm: SelfMap, a: int, b: int) -> tuple[int, int, int] | None
     return (z.point, z.hitting_times[a], z.hitting_times[b])
 
 
-def _pair_meet(pa: OrbitProfile, pb: OrbitProfile) -> int | None:
-    """Earliest common point of two infinite orbits (None when disjoint)."""
-    candidates: list[int] = []
-    for p in pa.points():
-        if p in pb:
-            candidates.append(p)
-            break
-    for p in pb.points():
-        if p in pa:
-            candidates.append(p)
-            break
-    if pa.cycle_residue_set() == pb.cycle_residue_set():
-        phases = pa.tail_run.phases
-        d = phases.drift
-        for r in phases.residues:
-            va = pa.first_value_at_residue(r)
-            vb = pb.first_value_at_residue(r)
-            if (va - vb) % d == 0:
-                candidates.append(max(va, vb))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda z: (pa.hitting(z) + pb.hitting(z), z))
-
-
 @dataclass
 class XiResult:
     """A common point of all orbits over a set, with minimal total hitting time."""
@@ -505,39 +483,70 @@ class XiResult:
     hitting_times: dict[int, int]
 
 
+def _on_all(profs: list[OrbitProfile], y: int) -> bool:
+    """Is y on every orbit of ``profs``?"""
+    for p in profs:
+        if p.hitting(y) is None:
+            return False
+    return True
+
+
 def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
     """Sum-of-hitting-times-minimal common point of the orbits over ``istar``.
 
     Absent exactly when the orbits have empty intersection.  Among minimizers
     the smallest point is chosen (only relevant when all orbits are finite;
     with infinite orbits the minimizer is unique).
+
+    The minimizer w is a segment start (``starts``) of some profile, so only
+    the starts on every orbit are compared.  Were w a start of none, it would
+    follow a run point on every orbit; those points share the residue before
+    w's on the run's cycle, and the shift rule is injective on a residue
+    class, so they are one common point, a step before w on every orbit.
+
+    Infinite orbits meet iff their tails lie on one progression, which a
+    common point far out fixes.  Their common points are then the orbit of z,
+    the first point of one orbit on all others; infinite-orbit points that
+    reach each other are equal, so every orbit passes z before the rest.  So
+    z is the minimizer, and the only common point whose predecessor on some
+    orbit is not common: a start value on every other orbit, or such a start.
     """
     if not istar:
         raise ValueError("xi needs a nonempty set")
     istar = tuple(dict.fromkeys(istar))
-    profs = {a: orbit_profile(sm, a) for a in istar}
-    finiteness = {p.finite for p in profs.values()}
+    profs = [orbit_profile(sm, a) for a in istar]
+    if len(profs) == 1:
+        return XiResult(istar[0], {istar[0]: 0})
+    finiteness = {p.finite for p in profs}
     if len(finiteness) > 1:
         # a finite orbit consists of finite-orbit points only, an infinite
         # orbit of infinite-orbit points only; no overlap is possible
         return None
 
-    if finiteness == {True}:
-        common = set(profs[istar[0]].points())
-        for a in istar[1:]:
-            common &= set(profs[a].points())
+    if finiteness == {False}:
+        t0 = profs[0].tail_run
+        for p in profs[1:]:
+            if t0.step_of(p.tail_run.v0) is None and p.tail_run.step_of(t0.v0) is None:
+                return None
+        others = [profs[:i] + profs[i + 1 :] for i in range(len(profs))]
+        best = next((a for a, qs in zip(istar, others) if _on_all(qs, a)), None)
+        if best is None:
+            best = next(
+                s for p, qs in zip(profs, others) for s in p.starts()
+                if _on_all(qs, s) and not _on_all(qs, p.point_at(p.hitting(s) - 1))
+            )
+    else:
+        if any(p.runs for p in profs):
+            starts = set(itertools.chain.from_iterable(p.starts() for p in profs))
+            common = {s for s in starts if _on_all(profs, s)}
+        else:  # orbits walked point by point
+            common = set(profs[0].seq)
+            for p in profs[1:]:
+                common &= set(p.seq)
         if not common:
             return None
-        best = min(common, key=lambda z: (sum(p.hitting(z) for p in profs.values()), z))
-        return XiResult(best, {a: profs[a].hitting(best) for a in istar})
-
-    z = istar[0]
-    for a in istar[1:]:
-        cur = profs[z] if z in profs else orbit_profile(sm, z)
-        z = _pair_meet(cur, profs[a])
-        if z is None:
-            return None
-    return XiResult(z, {a: profs[a].hitting(z) for a in istar})
+        best = min(common, key=lambda z: (sum(p.hitting(z) for p in profs), z))
+    return XiResult(best, {a: p.hitting(best) for a, p in zip(istar, profs)})
 
 
 def in_D_phi(sm: SelfMap, istar: tuple[int, ...]) -> bool:

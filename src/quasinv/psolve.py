@@ -254,7 +254,7 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         if low.kind == "pos":
             return high.residue in pos_residues
         if low.kind == "neg" and not low.entry_profile.finite:
-            return high.residue in low.entry_profile.cycle_residue_set()
+            return high.residue in low.entry_profile.tail_run.phases.residue_set
         return False
 
     def covers_down(high: _ClassGroup, low_anchor: int) -> bool:
@@ -265,7 +265,7 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         if desc_class_hits(high, low_anchor):
             return True
         entry = high.entry_profile
-        return not entry.finite and low_anchor % m in entry.cycle_residue_set()
+        return not entry.finite and low_anchor % m in entry.tail_run.phases.residue_set
 
     def class_rep(anchor: int) -> int:
         return rep_at(anchor, x0_base, period)
@@ -294,23 +294,13 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
     mid = sorted(
         y for g in scoped for y in range(rep_at(g.anchor, x0_base, g.stride), mid_top + 1, g.stride)
     )
-    if not _is_chain(sm, mid):
-        anchors = sorted(a for g in scoped for a in range(g.anchor, period, g.stride))
-        for low_anchor in anchors:
-            x0 = class_rep(low_anchor)
-            for high_anchor in anchors:
-                delta0 = (high_anchor - low_anchor) % period
-                for delta in range(delta0 or period, delta_bound + 1, period):
-                    if not _comparable(sm, x0, x0 + delta):
-                        return (x0, x0 + delta)
+    pair = _first_incomparable(sm, mid)
+    if pair is not None:
+        return pair
 
     # window: transitional pairs and everything below the deep band
-    profiles = {x: orbit_profile(sm, x) for x in range(w_base + 1)}
-    top_of = {}
-    for x, p in profiles.items():
-        top_of[x] = p.max_point()
-        if not p.finite:
-            w_final = max(w_final, p.asymptotic_threshold())
+    profiles = [orbit_profile(sm, x) for x in range(w_base + 1)]
+    w_final = max([w_final] + [p.asymptotic_threshold() for p in profiles if not p.finite])
 
     def in_scope_pt(x: int) -> bool:
         return scope == SCOPE_ALL or not orbit_profile(sm, x).finite
@@ -321,14 +311,14 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
             continue
         p = profiles[x]
         for g in scoped:
-            if not p.finite and g.residue in p.cycle_residue_set():
+            if not p.finite and g.residue in p.tail_run.phases.residue_set:
                 continue  # the orbit of x eventually swallows the whole class
             if g.kind == "neg" and (
                 (x >= deep and desc_class_hits(g, x))
                 or g.entry_profile.hitting(x) is not None
             ):
                 continue
-            y = rep_at(g.anchor, max(w_final, top_of[x], x + m * c) + 1, period)
+            y = rep_at(g.anchor, max(w_final, p.max_point(), x + m * c) + 1, period)
             return (x, y)
 
     return _first_incomparable(sm, [x for x in range(w_final + 1) if in_scope_pt(x)])

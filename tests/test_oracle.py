@@ -135,6 +135,18 @@ def _xi_hitting_times_off_by_one(sm, istar, real=orbits_mod.xi):
     return XiResult(res.point, {a: t + 1 for a, t in res.hitting_times.items()})
 
 
+def _xi_first_orbit_earliest(sm, istar, real=orbits_mod.xi):
+    """On finite orbits, the first orbit's earliest common point, whatever
+    the sum of hitting times."""
+    res = real(sm, istar)
+    first = orbits_mod.orbit_profile(sm, istar[0])
+    if res is None or not first.finite:
+        return res
+    rest = [orbits_mod.orbit_profile(sm, a) for a in istar[1:]]
+    z = next(p for p in first.points() if all(p in q for q in rest))
+    return XiResult(z, {a: orbits_mod.hitting_time(sm, a, z) for a in istar})
+
+
 def _union_drops_largest(sm, istar, h=(), real=supersets_mod.build_G_orbit_union):
     return real(sm, istar, h)[:-1]
 
@@ -146,6 +158,10 @@ ROUTE_MUTANTS = {
     ),
     "xi hitting times off by one": (
         orbits_mod, "xi", _xi_hitting_times_off_by_one,
+        "shared-point-minimality", {"n_max": 3, "samples": 10},
+    ),
+    "xi keeps the first orbit's earliest common point": (
+        orbits_mod, "xi", _xi_first_orbit_earliest,
         "shared-point-minimality", {"n_max": 3, "samples": 10},
     ),
     "interval selector returns lo": (

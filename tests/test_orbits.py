@@ -2,7 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from strategies import descending_maps, nat_maps
+from strategies import descending_maps, finite_maps, nat_maps
 
 from quasinv import (
     DescribedNatMap,
@@ -14,6 +14,7 @@ from quasinv import (
     named_map,
     orbit,
     orbits_intersect,
+    solve_P1,
     xi,
 )
 from quasinv import orbits as orbits_mod
@@ -340,3 +341,65 @@ def test_multi_residue_descent_at_large_start():
     for k in (0, 1, 2, 3, 10**9, 10**9 + 1, prof.length - 2):
         assert sm(prof.point_at(k)) == prof.point_at(k + 1)
     assert prof.max_point() == x
+
+
+# ---------------------------------------------------------------------------
+# The shared point against a walk of every orbit
+# ---------------------------------------------------------------------------
+
+
+def _reference_xi(sm, istar, steps):
+    """(point, hitting times) minimizing (sum of first-visit steps, point)
+    over the points every walk visits, or None when they share none.  Each
+    distinct start counts once."""
+    firsts = [_naive(sm, a, steps)[1] for a in dict.fromkeys(istar)]
+    common = set(firsts[0]).intersection(*firsts[1:])
+    if not common:
+        return None
+    z = min(common, key=lambda y: (sum(f[y] for f in firsts), y))
+    return z, tuple(f[z] for f in firsts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        finite_maps.map(lambda sm: (sm, 2000)),
+        nat_maps.map(lambda sm: (sm, 2000)),
+        descending_maps.map(lambda sm: (sm, 40_000)),
+    ),
+    st.lists(st.integers(0, 40), min_size=1, max_size=3),
+)
+def test_xi_matches_walked_orbits(sm_steps, draws):
+    # a finite orbit closes within its walk; infinite orbits that meet do so
+    # within it, and at their shared point first
+    sm, steps = sm_steps
+    istar = tuple(a % sm.size for a in draws) if isinstance(sm, FiniteTable) else tuple(draws)
+    z = xi(sm, istar)
+    ref = _reference_xi(sm, istar, steps)
+    if ref is None:
+        assert z is None
+    else:
+        assert (z.point, tuple(z.hitting_times[a] for a in dict.fromkeys(istar))) == ref
+
+
+# The answers below are worked by hand; at such starts no orbit can be listed.
+LARGE_START_CASES = [
+    (STEP_DOWN, (10**18, 5), 5, (10**18 - 5, 0)),
+    # even points above the prefix step down by two to 0 -> 3, odd ones climb by two
+    (DescribedNatMap((3, 3), 2, (-2, 2)), (10**18, 3), 3, (5 * 10**17 + 1, 0)),
+    (DescribedNatMap((3, 3), 2, (-2, 2)), (10**18, 10**18 + 1), 10**18 + 1, (10**18, 0)),
+    # 0 -> 10^18, then down by one: every orbit ends on that one cycle
+    (DescribedNatMap((10**18,), 1, (-1,)), (0, 3), 0, (0, 3)),
+    (DescribedNatMap((10**18,), 1, (-1,)), (7, 3), 3, (4, 0)),
+]
+
+
+@pytest.mark.parametrize("sm, istar, point, times", LARGE_START_CASES)
+def test_shared_point_at_large_starts(sm, istar, point, times):
+    z = xi(sm, istar)
+    assert z.point == point and tuple(z.hitting_times[a] for a in istar) == times
+    assert orbits_intersect(sm, *istar) == (point, *times)
+
+
+def test_p1_removal_point_at_a_large_start():
+    assert solve_P1(DescribedNatMap((3, 3), 2, (-2, 2))).u((10**18, 3)) == 3
