@@ -323,7 +323,7 @@ class OrbitProfile:
         return None
 
     def __contains__(self, y: int) -> bool:
-        return y in self._index or self.hitting(y) is not None
+        return self.hitting(y) is not None
 
     def point_at(self, k: int) -> int:
         if self.finite and k >= self.length:
@@ -505,44 +505,31 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
     class, so they are one common point, a step before w on every orbit.
 
     Infinite orbits meet iff their tails lie on one progression, which a
-    common point far out fixes.  Their common points are then the orbit of z,
-    the first point of one orbit on all others; infinite-orbit points that
-    reach each other are equal, so every orbit passes z before the rest.  So
-    z is the minimizer, and the only common point whose predecessor on some
-    orbit is not common: a start value on every other orbit, or such a start.
+    common point far out fixes; two tail runs test this at their first
+    points, so disjoint infinite orbits compare no start.  Their common
+    points are then the orbit of z, the first point of one orbit on all
+    others, and infinite-orbit points that reach each other are equal; so
+    a start value on every orbit is z, and the minimizer.
     """
     if not istar:
         raise ValueError("xi needs a nonempty set")
     istar = tuple(dict.fromkeys(istar))
     profs = [orbit_profile(sm, a) for a in istar]
-    if len(profs) == 1:
-        return XiResult(istar[0], {istar[0]: 0})
     finiteness = {p.finite for p in profs}
     if len(finiteness) > 1:
         # a finite orbit consists of finite-orbit points only, an infinite
         # orbit of infinite-orbit points only; no overlap is possible
         return None
-
+    best = None
     if finiteness == {False}:
         t0 = profs[0].tail_run
         for p in profs[1:]:
             if t0.step_of(p.tail_run.v0) is None and p.tail_run.step_of(t0.v0) is None:
                 return None
-        others = [profs[:i] + profs[i + 1 :] for i in range(len(profs))]
-        best = next((a for a, qs in zip(istar, others) if _on_all(qs, a)), None)
-        if best is None:
-            best = next(
-                s for p, qs in zip(profs, others) for s in p.starts()
-                if _on_all(qs, s) and not _on_all(qs, p.point_at(p.hitting(s) - 1))
-            )
-    else:
-        if any(p.runs for p in profs):
-            starts = set(itertools.chain.from_iterable(p.starts() for p in profs))
-            common = {s for s in starts if _on_all(profs, s)}
-        else:  # orbits walked point by point
-            common = set(profs[0].seq)
-            for p in profs[1:]:
-                common &= set(p.seq)
+        best = next((a for a in istar if _on_all(profs, a)), None)
+    if best is None:
+        starts = set(itertools.chain.from_iterable(p.starts() for p in profs))
+        common = [s for s in starts if _on_all(profs, s)]
         if not common:
             return None
         best = min(common, key=lambda z: (sum(p.hitting(z) for p in profs), z))
