@@ -381,11 +381,12 @@ def _check_pairwise_joint(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     for sm in _corpus(cfg):
         inf_pts = [x for x in range(11) if not orbits_mod.orbit_profile(sm, x).finite]
+        meets = {
+            pair: orbits_mod.orbits_intersect(sm, *pair) is not None
+            for pair in itertools.combinations(inf_pts, 2)
+        }
         for istar in _subsets_upto(inf_pts, 3):
-            if any(
-                orbits_mod.orbits_intersect(sm, a, b) is None
-                for a, b in itertools.combinations(istar, 2)
-            ):
+            if not all(meets[pair] for pair in itertools.combinations(istar, 2)):
                 continue
             z = orbits_mod.xi(sm, istar)
             ok = z is not None and not orbits_mod.orbit_profile(sm, z.point).finite

@@ -219,6 +219,21 @@ class _Run(NamedTuple):
         return out
 
 
+def _starts_tail(ph: CyclePhases, x: int, n0: int) -> bool:
+    """Does an infinite orbit's tail start at x, a point at or above the
+    prefix ``n0`` whose residue lies on the cycle ``ph``?  It does when the
+    cycle rises and the run from x never dips below the prefix."""
+    return ph.drift > 0 and x + min(ph.sums) >= n0
+
+
+def _descent_periods(ph: CyclePhases, x: int, n0: int) -> int:
+    """How many whole periods a descent from x along the falling cycle
+    ``ph`` stays at or above the prefix ``n0``; 0 when it dips below it
+    within the first."""
+    low = x + min(ph.sums)
+    return 0 if low < n0 else (low - n0) // -ph.drift + 1
+
+
 class OrbitProfile:
     """Full description of one forward orbit, exact membership included.
 
@@ -264,7 +279,7 @@ class OrbitProfile:
                 self.finite, self.mu, self.length = True, i, k
                 break
             ph = phases[x % sm.modulus] if nat and x >= n0 else None
-            if ph is not None and ph.drift > 0 and x + min(ph.sums) >= n0:
+            if ph is not None and _starts_tail(ph, x, n0):
                 self.tail_run = _Run(k, x, ph, None)
                 self.runs += (self.tail_run,)
                 self.finite, self.length = False, k
@@ -292,10 +307,9 @@ class OrbitProfile:
         is injective on a residue class.
         """
         ph = run.phases
-        low = run.v0 + min(ph.sums)
-        if low < n0:
+        count = _descent_periods(ph, run.v0, n0) * len(ph.sums)
+        if not count:
             return None
-        count = ((low - n0) // -ph.drift + 1) * len(ph.sums)
         for p in itertools.chain(seq, (r.v0 for r in self.runs)):
             t = run.step_of(p)
             if t is not None:
@@ -458,6 +472,73 @@ def hitting_time(sm: SelfMap, x: int, y: int) -> int | None:
     return orbit_profile(sm, x).hitting(y)
 
 
+class OrbitSummary(NamedTuple):
+    """What ``orbit_profile(sm, x)`` says about a point's orbit in four facts:
+    ``finite``; for an infinite orbit, ``threshold`` (``asymptotic_threshold()``)
+    and ``residues`` (the tail's ``residue_set``), None otherwise; and
+    ``top`` (``max_point()``)."""
+
+    finite: bool
+    threshold: int | None
+    residues: frozenset[int] | None
+    top: int
+
+
+def orbit_summary(sm: DescribedNatMap, x: int, memo: dict[int, OrbitSummary]) -> OrbitSummary:
+    """The summary of the orbit of x, from one walk along its trajectory and
+    no profile.
+
+    A point that starts a tail (``_starts_tail``) has that tail's threshold
+    and residues, and its top is the threshold; the points of a cycle the
+    walk closes are finite, their top the cycle's largest point; any other
+    point has the summary of the next point the walk lands on, with its own
+    top if that is larger.  The walk steps to the image, or past a descent's
+    whole periods above the prefix (``_descent_periods``), whose largest
+    point is in its first period; so, like a profile's walk, it lands on a
+    number of points bounded by the map and not by the start.  Landing
+    points follow one another by a fixed rule, so a walk that closes lands
+    on a point twice, and between the two it passed every point of the cycle.
+
+    The walk stops at a point already in ``memo`` and enters every point it
+    landed on there, so across calls sharing one memo each is walked once.
+    """
+    s = memo.get(x)
+    if s is not None:
+        return s
+    phases, n0, m = tail_structure(sm).phases, sm.prefix_len, sm.modulus
+    path: list[int] = []  # the points landed on
+    tops: list[int] = []  # each one's largest point before the next landing
+    on_path: dict[int, int] = {}
+    y = x
+    while (s := memo.get(y)) is None:
+        i = on_path.get(y)
+        if i is not None:
+            s = OrbitSummary(True, None, None, max(tops[i:]))
+            for p in path[i:]:
+                memo[p] = s
+            del path[i:], tops[i:]
+            break
+        ph = phases[y % m] if y >= n0 else None
+        if ph is not None and _starts_tail(ph, y, n0):
+            top = y + max(ph.sums)
+            s = memo[y] = OrbitSummary(False, top, ph.residue_set, top)
+            break
+        on_path[y] = len(path)
+        path.append(y)
+        periods = _descent_periods(ph, y, n0) if ph is not None and ph.drift < 0 else 0
+        if periods:
+            tops.append(y + max(ph.sums))
+            y += periods * ph.drift
+        else:
+            tops.append(y)
+            y = sm(y)
+    for p, top in zip(reversed(path), reversed(tops)):
+        if top > s.top:
+            s = s._replace(top=top)
+        memo[p] = s
+    return memo[x]
+
+
 # ---------------------------------------------------------------------------
 # Orbit intersection and the shared-point selector
 # ---------------------------------------------------------------------------
@@ -520,20 +601,29 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
         # a finite orbit consists of finite-orbit points only, an infinite
         # orbit of infinite-orbit points only; no overlap is possible
         return None
-    best = None
     if finiteness == {False}:
         t0 = profs[0].tail_run
         for p in profs[1:]:
             if t0.step_of(p.tail_run.v0) is None and p.tail_run.step_of(t0.v0) is None:
                 return None
         best = next((a for a in istar if _on_all(profs, a)), None)
-    if best is None:
-        starts = set(itertools.chain.from_iterable(p.starts() for p in profs))
-        common = [s for s in starts if _on_all(profs, s)]
-        if not common:
-            return None
-        best = min(common, key=lambda z: (sum(p.hitting(z) for p in profs), z))
-    return XiResult(best, {a: p.hitting(best) for a, p in zip(istar, profs)})
+        if best is not None:
+            return XiResult(best, {a: p.hitting(best) for a, p in zip(istar, profs)})
+    key, best_times = None, None  # the least (sum of hitting times, start) so far
+    for s in set(itertools.chain.from_iterable(p.starts() for p in profs)):
+        times = []
+        for p in profs:
+            t = p.hitting(s)
+            if t is None:
+                break
+            times.append(t)
+        else:
+            cand = (sum(times), s)
+            if key is None or cand < key:
+                key, best_times = cand, times
+    if key is None:
+        return None
+    return XiResult(key[1], dict(zip(istar, best_times)))
 
 
 def in_D_phi(sm: SelfMap, istar: tuple[int, ...]) -> bool:

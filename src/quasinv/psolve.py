@@ -25,11 +25,13 @@ from typing import Callable, Iterable, Optional
 from .errors import NotAP2Solution, StructureViolation
 from .orbits import (
     OrbitProfile,
+    OrbitSummary,
     all_orbits_infinite,
     check_p_tilde,
     hitting_time,
     lock_height,
     orbit_profile,
+    orbit_summary,
     shift_magnitude,
     tail_structure,
     xi,
@@ -55,17 +57,18 @@ def _is_chain(sm: SelfMap, points: list[int]) -> bool:
 
     They are iff one of them reaches all the others: two points of one orbit
     are comparable, and a finite total preorder has a least element.  One
-    pass finds the only candidate (the current one gives way to a point that
-    reaches it), a second checks that it reaches every point: 2|S| hitting
-    queries instead of |S|^2 / 2.
+    pass finds the only candidate, a second checks that it reaches every
+    point: 2|S| hitting queries instead of |S|^2 / 2.  The candidate reaches
+    every point seen so far; it gives way to a point y its orbit misses.  In
+    a chain y then reaches the candidate, and with it every point seen so
+    far.  Profiles are built for candidates only.
     """
     if not points:
         return True
-    least = points[0]
+    prof = orbit_profile(sm, points[0])
     for y in points[1:]:
-        if hitting_time(sm, y, least) is not None:
-            least = y
-    prof = orbit_profile(sm, least)
+        if prof.hitting(y) is None:
+            prof = orbit_profile(sm, y)
     return all(prof.hitting(y) is not None for y in points)
 
 
@@ -298,27 +301,28 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
     if pair is not None:
         return pair
 
-    # window: transitional pairs and everything below the deep band
-    profiles = [orbit_profile(sm, x) for x in range(w_base + 1)]
-    w_final = max([w_final] + [p.asymptotic_threshold() for p in profiles if not p.finite])
+    # window: transitional pairs and everything below the deep band, read
+    # from orbit summaries that live for this call only
+    memo: dict[int, OrbitSummary] = {}
+    summaries = [orbit_summary(sm, x, memo) for x in range(w_base + 1)]
+    w_final = max([w_final] + [s.threshold for s in summaries if not s.finite])
 
     def in_scope_pt(x: int) -> bool:
-        return scope == SCOPE_ALL or not orbit_profile(sm, x).finite
+        return scope == SCOPE_ALL or not orbit_summary(sm, x, memo).finite
 
     # each low point against every deep class far above the window
-    for x in range(w_base + 1):
+    for x, s in enumerate(summaries):
         if not in_scope_pt(x):
             continue
-        p = profiles[x]
         for g in scoped:
-            if not p.finite and g.residue in p.tail_run.phases.residue_set:
+            if not s.finite and g.residue in s.residues:
                 continue  # the orbit of x eventually swallows the whole class
             if g.kind == "neg" and (
                 (x >= deep and desc_class_hits(g, x))
                 or g.entry_profile.hitting(x) is not None
             ):
                 continue
-            y = rep_at(g.anchor, max(w_final, p.max_point(), x + m * c) + 1, period)
+            y = rep_at(g.anchor, max(w_final, s.top, x + m * c) + 1, period)
             return (x, y)
 
     return _first_incomparable(sm, [x for x in range(w_final + 1) if in_scope_pt(x)])

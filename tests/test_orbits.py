@@ -1,7 +1,7 @@
 """Orbit decomposition, certificates, hitting times, intersection, and the shared point."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from strategies import descending_maps, finite_maps, nat_maps
 
 from quasinv import (
@@ -23,6 +23,7 @@ from quasinv.orbits import (
     exists_cofinite_orbit,
     is_orbit_cofinite,
     orbit_profile,
+    orbit_summary,
     p_tilde_witness,
     tail_structure,
 )
@@ -250,6 +251,26 @@ def test_descending_profile_matches_naive_walk(sm, x, far_steps, n_draw):
             assert prof.point_at(prof.hitting(p)) == p
         for y in set(range(201)) - prof.points_upto(200):
             assert prof.hitting(y) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(nat_maps, descending_maps), st.permutations(range(41)))
+@example(DescribedNatMap((0, 1, 2, 40), 2, (1, -3)), list(range(41)))  # a descent tops out past its start
+def test_orbit_summary_matches_profile(sm, window):
+    # one memo for the whole window, filled in a drawn order; every point a
+    # walk entered in it must carry its profile's facts too
+    memo = {}
+    for x in window:
+        orbit_summary(sm, x, memo)
+    for x, s in memo.items():
+        prof = orbit_profile(sm, x)
+        assert s.finite == prof.finite
+        assert s.top == prof.max_point()
+        if prof.finite:
+            assert s.threshold is None and s.residues is None
+        else:
+            assert s.threshold == prof.asymptotic_threshold()
+            assert s.residues == prof.tail_run.phases.residue_set
 
 
 STEP_DOWN = DescribedNatMap((0,), 1, (-1,))

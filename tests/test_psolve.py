@@ -127,6 +127,7 @@ def _domain(sm, bound):
 )
 @example((SUCC, [5, 0, 3]))
 @example((DescribedNatMap((0,), 1, (-1,)), [4, 9, 0, 2]))
+@example((DescribedNatMap((0,), 1, (-1,)), [0, 1, 2, 3, 4, 5, 6, 7]))  # a new candidate at every point
 @example((SHIFT2, [0, 2, 1]))
 @example((FiniteTable((1, 0, 3, 2)), [0, 1, 2]))
 def test_chain_test_agrees_with_pairwise_scan(case):
@@ -152,6 +153,7 @@ def test_chain_test_agrees_with_pairwise_scan(case):
         (DescribedNatMap((1, 18), 1, (-1,)), SCOPE_ALL, (0, 44)),  # low point
         (DescribedNatMap((9, 2), 2, (2, -2)), SCOPE_INFINITE, (0, 59)),
         (BULLET, SCOPE_ALL, (0, 1)),  # window
+        (DescribedNatMap((0, 10**9, 0), 1, (-1,)), SCOPE_ALL, (1, 10**9 + 21)),  # low point, long descent
     ],
 )
 def test_total_order_witness_values(sm, scope, witness):
@@ -183,6 +185,11 @@ def test_period_maps_total_on_infinite_orbits(ks, witness):
     if ks == (5, 7, 9, 11):  # period 17325, also run from the command line in CI
         data = Path(__file__).parent / "data" / "period_17325.json"
         assert parse_map(data.read_text()) == sm
+        # the window stage reads orbit summaries, so it caches no profile per
+        # window point (78,125 of them); the decider runs uncached here
+        orbit_profile.cache_clear()
+        assert total_order_witness.__wrapped__(sm, SCOPE_INFINITE) is None
+        assert orbit_profile.cache_info().currsize < 1000
     assert total_order_witness(sm, SCOPE_INFINITE) is None
     assert solve_P2(sm) is not None
     assert total_order_witness(sm, SCOPE_ALL) == witness
