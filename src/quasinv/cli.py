@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the query succeeds or the property holds, 1 when it fails
 or the construction is absent, 2 on malformed input or a typed library error
-(such as an orbit too long to list).
+(such as an orbit too long to list), 3 on an internal error: any other
+exception, such as a ``MemoryError``, reported as one ``internal error:``
+line, so that a crash never reads as a failed property.
 """
 
 from __future__ import annotations
@@ -303,6 +305,9 @@ def main(argv=None) -> int:
     except (QuasinvError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

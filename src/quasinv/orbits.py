@@ -23,10 +23,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import OrbitTooLong, OutOfDomain
 from .selfmap import BLOCK_POINTS, DescribedNatMap, FiniteTable, SelfMap
+
+# Bounds of the library caches, in entries.  Each lies above the working set
+# of the benchmark run that needs the most entries, so no workload evicts:
+# the theorem suite at its defaults ("suite") and one repetition of the
+# "queries" workload, which asks its battery about 400 maps twice.
+TAIL_STRUCTURE_CACHE = 1024  # maps: 98 in the suite, 400 per queries repetition
+PROFILE_CACHE = 32768  # (map, start) pairs: 18,144 in the suite, about 6.5k per queries repetition
+VERDICT_CACHE = 1024  # maps asked all_orbits_infinite: 98 in the suite, 400 per queries repetition
 
 # ---------------------------------------------------------------------------
 # Residue structure of a described map's tail
@@ -69,7 +77,7 @@ class TailStructure:
         return [c for c in self.cycles if c.drift > 0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TAIL_STRUCTURE_CACHE)
 def tail_structure(sm: DescribedNatMap) -> TailStructure:
     m = sm.modulus
     step = [(r + sm.shifts[r]) % m for r in range(m)]
@@ -172,10 +180,10 @@ class OrbitResult:
 
 
 # Listing an orbit point by point stops above this many points.  At the
-# limit, orbit() of prefix [0], shift -1 peaks at 0.55 GB resident (VmHWM,
-# Python 3.11), all of it reached inside points(): the points, the list it
-# builds and the tuple made from it.  The link check holds one block of
-# images at a time.
+# limit, points() of prefix [0], shift -1 peaks at 0.41 GB resident (VmHWM,
+# Python 3.11): the points and the one tuple that holds them, filled from
+# ranges.  orbit() peaks at 0.49 GB, adding the tail it slices from that
+# tuple; its link check holds one block of images at a time.
 MAX_LISTED_POINTS = 10**7
 
 
@@ -208,9 +216,13 @@ class _Run(NamedTuple):
             return None
         return q + j * len(ph.sums)
 
-    def listed(self, count: int) -> list[int]:
-        """The run's first ``count`` points."""
+    def listed(self, count: int) -> Sequence[int]:
+        """The run's first ``count`` points in step order.  A run of one
+        phase gives them as a range, so a listing copies them only into its
+        result; a longer period interleaves its phases in a list."""
         sums, drift = self.phases.sums, self.phases.drift
+        if len(sums) == 1:
+            return range(self.v0, self.v0 + count * drift, drift)
         period = len(sums)
         out = [0] * count
         for q, s in enumerate(sums):
@@ -371,18 +383,17 @@ class OrbitProfile:
                 f"listing {n} points of the orbit of {self.start} exceeds "
                 f"the limit of {MAX_LISTED_POINTS}"
             )
-        out: list[int] = []
-        walked = 0  # points of seq listed so far
+        parts: list[Sequence[int]] = []
+        k = walked = 0  # points listed so far, and how many of them were walked
         for run in self.runs:
             if run.base >= n:
                 break
-            take = run.base - len(out)
-            out += self.seq[walked : walked + take]
-            walked += take
-            count = n - run.base
-            out += run.listed(count if run.count is None else min(count, run.count))
-        out += self.seq[walked : walked + n - len(out)]
-        return tuple(out)
+            parts.append(self.seq[walked : walked + run.base - k])
+            walked += run.base - k
+            k = min(n, run.base + run.count) if run.count is not None else n
+            parts.append(run.listed(k - run.base))
+        parts.append(self.seq[walked : walked + n - k])
+        return tuple(itertools.chain.from_iterable(parts))
 
     def starts(self) -> Iterator[int]:
         """The first point of every segment: each walked point, and each
@@ -433,7 +444,7 @@ class OrbitProfile:
         return len(ph.residues) == self.sm.modulus and ph.drift == self.sm.modulus
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PROFILE_CACHE)
 def orbit_profile(sm: SelfMap, x: int) -> OrbitProfile:
     if isinstance(sm, FiniteTable) and not 0 <= x < sm.size:
         raise OutOfDomain(f"{x} is outside [0, {sm.size})")
@@ -674,17 +685,29 @@ def p_tilde_witness(sm: SelfMap) -> tuple[int, int] | None:
     return (min(deep), max(deep))
 
 
+def least_finite_point(sm: DescribedNatMap, memo: dict[int, OrbitSummary]) -> int | None:
+    """The least point whose orbit is finite, or None when every orbit is
+    infinite, read from orbit summaries that share ``memo``.
+
+    It lies at most one residue period above the lock height: any higher
+    point either locks immediately onto a positive cycle (infinite) or
+    descends through that window, so a finite orbit from above passes
+    through a window point with a finite orbit.
+    """
+    bound = lock_height(sm) + sm.modulus
+    return next((x for x in range(bound + 1) if orbit_summary(sm, x, memo).finite), None)
+
+
+@lru_cache(maxsize=VERDICT_CACHE)
 def all_orbits_infinite(sm: SelfMap) -> bool:
     """True iff every point of the domain has an infinite orbit.
 
-    Checking up to one residue period above the lock height suffices: any
-    higher point either locks immediately onto a positive cycle (infinite)
-    or descends through the checked window.
+    Finiteness over a range of points is read from orbit summaries
+    (``least_finite_point``), one walk per trajectory and no profile.
     """
     if isinstance(sm, FiniteTable):
         return False
-    bound = lock_height(sm) + sm.modulus
-    return all(not orbit_profile(sm, x).finite for x in range(bound + 1))
+    return least_finite_point(sm, {}) is None
 
 
 def exists_cofinite_orbit(sm: DescribedNatMap) -> bool:

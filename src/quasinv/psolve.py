@@ -29,6 +29,7 @@ from .orbits import (
     all_orbits_infinite,
     check_p_tilde,
     hitting_time,
+    least_finite_point,
     lock_height,
     orbit_profile,
     orbit_summary,
@@ -41,6 +42,10 @@ from .supersets import orbit_union
 
 SCOPE_ALL = "all"
 SCOPE_INFINITE = "infinite_only"
+
+# Bound of the verdict cache, in (map, scope) pairs: 135 in the theorem suite
+# at its defaults, 800 per repetition of the benchmark's "queries" workload.
+TOTAL_ORDER_CACHE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def _descend_entry(sm: DescribedNatMap, y: int, floor: int) -> int:
     return y
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TOTAL_ORDER_CACHE)
 def total_order_witness(sm: SelfMap, scope: str = SCOPE_ALL) -> Optional[tuple[int, int]]:
     """An incomparable in-scope pair, or None when reachability totally orders the scope.
 
@@ -214,13 +219,14 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         x0 = rep_at(r, rep_base, m)
         return (x0, x0 + far)
 
+    # orbit summaries, from walks that share one memo for this call only
+    memo: dict[int, OrbitSummary] = {}
     pos_cycles = ts.positive_cycles()
     pos_residues = frozenset()
     if any(k == "pos" for k in kinds):
-        if scope == SCOPE_ALL and not all_orbits_infinite(sm):
-            bound = lock_height(sm) + m
-            x_fin = next(x for x in range(bound + 1) if orbit_profile(sm, x).finite)
-            top = orbit_profile(sm, x_fin).max_point() + 2 * m * c + 1
+        x_fin = least_finite_point(sm, memo) if scope == SCOPE_ALL else None
+        if x_fin is not None:
+            top = memo[x_fin].top + 2 * m * c + 1
             y = rep_at(pos_cycles[0].residues[0], max(rep_base, top), m)
             return (x_fin, y)
         if len(pos_cycles) > 1:
@@ -302,8 +308,7 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         return pair
 
     # window: transitional pairs and everything below the deep band, read
-    # from orbit summaries that live for this call only
-    memo: dict[int, OrbitSummary] = {}
+    # from orbit summaries
     summaries = [orbit_summary(sm, x, memo) for x in range(w_base + 1)]
     w_final = max([w_final] + [s.threshold for s in summaries if not s.finite])
 

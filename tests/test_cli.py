@@ -193,6 +193,21 @@ def test_orbit_too_long_to_list_exits_2(capsys, map_file):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("exc", [MemoryError("out of memory"), RuntimeError("boom")])
+def test_internal_error_exits_3(capsys, monkeypatch, exc):
+    """An exception outside the typed errors is an internal error, never a
+    failed property: one line and exit 3."""
+    import quasinv.psolve
+
+    def crash(sm):
+        raise exc
+
+    monkeypatch.setattr(quasinv.psolve, "solve_P2", crash)
+    code, out, err = run(capsys, "solve", "succ", "--p2")
+    assert code == 3 and out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
 def test_orbit_too_long_to_list_prints_no_traceback(map_file):
     import subprocess
     import sys

@@ -22,6 +22,8 @@ from quasinv.orbits import (
     all_orbits_infinite,
     exists_cofinite_orbit,
     is_orbit_cofinite,
+    least_finite_point,
+    lock_height,
     orbit_profile,
     orbit_summary,
     p_tilde_witness,
@@ -137,6 +139,47 @@ def test_all_orbits_infinite():
     assert all_orbits_infinite(CONJ)
     assert not all_orbits_infinite(ZERO_FIX)
     assert not all_orbits_infinite(FiniteTable((1, 0)))
+
+
+# prefix values up to 40 and shifts of either sign: finite and infinite
+# orbits side by side, and descents that pass below the lock height
+mixed_maps = st.tuples(st.integers(1, 4), st.integers(0, 5)).flatmap(
+    lambda mn: st.builds(
+        DescribedNatMap,
+        prefix=st.lists(st.integers(0, 40), min_size=mn[1], max_size=mn[1]).map(tuple),
+        modulus=st.just(mn[0]),
+        shifts=st.lists(st.integers(-mn[1], 6), min_size=mn[0], max_size=mn[0]).map(tuple),
+    )
+)
+
+
+def _all_orbits_infinite_per_point(sm):
+    """The reference: one profile per point up to a residue period above
+    the lock height."""
+    return all(not orbit_profile(sm, x).finite for x in range(lock_height(sm) + sm.modulus + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_maps)
+def test_all_orbits_infinite_matches_per_point_reference(sm):
+    assert all_orbits_infinite(sm) == _all_orbits_infinite_per_point(sm)
+    # the least finite point lies in that window: none further up is less
+    far = lock_height(sm) + 4 * sm.modulus + 40
+    assert least_finite_point(sm, {}) == next(
+        (x for x in range(far) if orbit_profile(sm, x).finite), None
+    )
+
+
+def test_all_orbits_infinite_builds_no_profile():
+    # maps no other test uses, so a profile built here would be a miss
+    for sm, want in (
+        (DescribedNatMap((9, 4, 17, 3), 3, (2, -4, 6)), False),
+        (DescribedNatMap((8, 8, 19), 2, (-1, 5)), True),
+    ):
+        misses = orbit_profile.cache_info().misses
+        assert all_orbits_infinite.__wrapped__(sm) is want
+        assert orbit_profile.cache_info().misses == misses
+        assert _all_orbits_infinite_per_point(sm) is want
 
 
 def test_infinite_profile_membership_agrees_with_simulation():

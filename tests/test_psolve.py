@@ -1,5 +1,8 @@
 """Superset-preservation predicates, solvers, the reachability order, and indivisibility."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -193,6 +196,38 @@ def test_period_maps_total_on_infinite_orbits(ks, witness):
     assert total_order_witness(sm, SCOPE_INFINITE) is None
     assert solve_P2(sm) is not None
     assert total_order_witness(sm, SCOPE_ALL) == witness
+
+
+@pytest.mark.parametrize(
+    "sm, witness",
+    [
+        (DescribedNatMap((5, 2, 1), 1, (1,)), (1, 13)),  # 1 -> 2 -> 1 is the least finite orbit
+        (DescribedNatMap((6, 3, 3, 7), 2, (1, 3)), (44, 90)),  # every orbit infinite
+    ],
+)
+def test_finite_point_search_builds_no_profile(sm, witness):
+    # no residue descends, so the decider builds no entry profile either;
+    # run uncached, on maps no other test uses
+    misses = orbit_profile.cache_info().misses
+    assert total_order_witness.__wrapped__(sm, SCOPE_ALL) == witness
+    assert orbit_profile.cache_info().misses == misses
+    assert not _comparable(sm, *witness)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_library_caches_stay_bounded():
+    # the probe's peak at 1,000 and 4,000 maps (20 and 23 MB; 37 and 94 MB
+    # with unbounded caches and a profile per point for finiteness)
+    import quasinv
+
+    probe = Path(__file__).parent / "cache_probe.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(quasinv.__file__).parent.parent)}
+    peaks = [
+        int(subprocess.run([sys.executable, str(probe), str(n)], env=env, capture_output=True,
+                           text=True, timeout=120, check=True).stdout)
+        for n in (1000, 4000)
+    ]
+    assert peaks[1] - peaks[0] < 10 * 1024, peaks
 
 
 @settings(max_examples=150, deadline=None)
