@@ -26,6 +26,7 @@ from .errors import NotAP2Solution, StructureViolation
 from .orbits import (
     OrbitProfile,
     OrbitSummary,
+    _descent_periods,
     all_orbits_infinite,
     check_p_tilde,
     hitting_time,
@@ -118,9 +119,14 @@ class _ClassGroup:
 
 
 def _descend_entry(sm: DescribedNatMap, y: int, floor: int) -> int:
-    """First trajectory point below ``floor``; caller guarantees descent."""
+    """First trajectory point below ``floor``, a height at or above the
+    prefix; caller guarantees descent.  Whole periods of a falling cycle
+    that stay at or above ``floor`` are skipped at once."""
+    phases = tail_structure(sm).phases
     while y >= floor:
-        y = sm(y)
+        ph = phases[y % sm.modulus]
+        periods = _descent_periods(ph, y, floor) if ph is not None and ph.drift < 0 else 0
+        y = y + periods * ph.drift if periods else sm(y)
     return y
 
 
@@ -150,6 +156,43 @@ def is_total_order(sm: SelfMap, scope: str = SCOPE_ALL) -> bool:
 
 
 def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[tuple[int, int]]:
+    """The stages below, each returning the first pair it finds: zero-drift
+    and rising classes, far-apart class pairs, low points against deep
+    classes, and the final pass over the window [0, w_final].
+
+    The window is read below deep, the lock height, whatever its top.
+    Lemma: once the far-apart stage passes, two in-scope points at or above
+    deep are incomparable only if one, x, rises and the other falls, and x
+    is off the falling group's entry orbit.  Rising points all lie on the
+    one positive cycle, of drift m, whose tail from x holds every point of
+    its residues from an offset on, so of two rising points one reaches the
+    other.  Falling in-scope points all lie on one falling cycle and their
+    groups meet pairwise (``desc_class_hits``), so the higher of two falling
+    points descends through the lower, or the lower passes the higher
+    within its first period.  A falling orbit meets rising residues only in
+    its entry orbit.  A rising point at or above prefix_len + m*c starts
+    its tail at once, so an orbit holds such points of one residue only as
+    an upper set, and the point y of x's residue in [prefix_len + m*c, deep)
+    is off the entry orbit too.  Hence:
+
+    * a falling point at or above deep passes the low-point test, and a
+      rising one x fails it only if y does, so that test reads the points
+      below deep; once it passes, all deep pairs are comparable;
+    * every deep falling point reaches a low point x, which the low-point
+      test put on its entry orbit, and a deep rising point z is
+      incomparable with x only if the point of z's residue in
+      [prefix_len + m*c, deep), which climbs to z, is too; so the final
+      pass's first pair lies below deep;
+    * a point x from deep up to w_base starts a tail within 2*m*c above x,
+      below w_final's starting value, or takes the threshold of its
+      trajectory's first point below deep, so w_final reads the thresholds
+      below deep;
+    * no stage reads a mid-range of deep pairs.
+
+    So the decider reads prefix_len + 2*m*c points, and its cost depends on
+    the prefix length, the modulus, the shifts and the period, not on the
+    prefix values.
+    """
     ts = tail_structure(sm)
     m = sm.modulus
     kinds = []
@@ -174,9 +217,8 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
     # |drift|) higher follow the same residues down to the same entry point.
     rep_base = deep + 2 * period + 2 * m * c
     # delta_bound: four residue paths and two periods, room for both points
-    # of a pair to settle into their classes' behaviour; gaps up to it are
-    # the mid-range, checked point by point, and wider gaps are settled by
-    # classes alone.
+    # of a pair to settle into their classes' behaviour; wider gaps are
+    # settled by classes alone.
     delta_bound = 4 * m * c + 2 * period
     # far, beyond: the least multiple of the period above delta_bound, and
     # one period more; jumps by them keep the class and clear every
@@ -203,11 +245,12 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
     # it concrete orbits may add stray comparabilities, at or above it only
     # class-periodic channels act.
     exc = max([rep_base] + [g.entry_profile.max_point() for g in groups if g.kind == "neg"])
-    # x0_base = w_base: one period above exc, so each class has its
-    # mid-range representative in [x0_base, x0_base + period); the points
-    # up to w_base are the low points, checked against every deep class.
+    # x0_base = w_base: one period above exc, so each class has a
+    # representative in [x0_base, x0_base + period) for far-apart witnesses;
+    # the points up to w_base are the low points, checked against every
+    # deep class.
     x0_base = w_base = exc + period
-    # w_final: the top of the window whose pairs are checked point by point,
+    # w_final: the top of the window whose pairs the final pass checks,
     # two residue paths, a period, the largest prefix value and a modulus
     # above w_base; the window stage raises it to the asymptotic threshold
     # of every infinite orbit from a low point.
@@ -297,28 +340,14 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
                 delta = (high.anchor - low.anchor) % period + beyond
                 return (x0, x0 + delta)
 
-    # mid-range deep pairs via representatives above the exceptional bound;
-    # each such pair lies in mid, so a chain there settles them all
-    mid_top = x0_base + period + delta_bound
-    mid = sorted(
-        y for g in scoped for y in range(rep_at(g.anchor, x0_base, g.stride), mid_top + 1, g.stride)
-    )
-    pair = _first_incomparable(sm, mid)
-    if pair is not None:
-        return pair
-
-    # window: transitional pairs and everything below the deep band, read
-    # from orbit summaries
-    summaries = [orbit_summary(sm, x, memo) for x in range(w_base + 1)]
-    w_final = max([w_final] + [s.threshold for s in summaries if not s.finite])
-
-    def in_scope_pt(x: int) -> bool:
-        return scope == SCOPE_ALL or not orbit_summary(sm, x, memo).finite
+    # window: transitional pairs and everything below the deep band.  The
+    # points below deep stand for the whole window (see the docstring).
+    lows = [(x, orbit_summary(sm, x, memo)) for x in range(deep)]
+    w_final = max([w_final] + [s.threshold for _, s in lows if not s.finite])
+    lows = [(x, s) for x, s in lows if scope == SCOPE_ALL or not s.finite]
 
     # each low point against every deep class far above the window
-    for x, s in enumerate(summaries):
-        if not in_scope_pt(x):
-            continue
+    for x, s in lows:
         for g in scoped:
             if not s.finite and g.residue in s.residues:
                 continue  # the orbit of x eventually swallows the whole class
@@ -330,7 +359,7 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
             y = rep_at(g.anchor, max(w_final, s.top, x + m * c) + 1, period)
             return (x, y)
 
-    return _first_incomparable(sm, [x for x in range(w_final + 1) if in_scope_pt(x)])
+    return _first_incomparable(sm, [x for x, _ in lows])
 
 
 # ---------------------------------------------------------------------------

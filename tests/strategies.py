@@ -31,6 +31,19 @@ descending_maps = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
     )
 )
 
+# the same shapes with prefix values up to 10^18: descents and climbs that
+# no per-point reading of the window could cover
+huge_prefix_maps = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda mn: st.builds(
+        DescribedNatMap,
+        prefix=st.lists(
+            st.one_of(st.integers(0, 12), st.integers(0, 10**18)), min_size=mn[1], max_size=mn[1]
+        ).map(tuple),
+        modulus=st.just(mn[0]),
+        shifts=st.lists(st.integers(-mn[1], 3), min_size=mn[0], max_size=mn[0]).map(tuple),
+    )
+)
+
 # shifts in [-3, 0] under a short prefix: ascending points up to a pivot, then
 # gentle descents, so the interval classification meets all three of its cases
 pivot_maps = st.tuples(st.integers(1, 3), st.integers(1, 6)).flatmap(

@@ -320,6 +320,8 @@ def test_every_subcommand_runs_in_bounded_memory(map_file):
 
     big, window = str(10**18), str(2 * 10**7)
     step_down = map_file(STEP_DOWN)
+    # one orbit descends from 10^18, so the decider's window reaches 2 * 10^18
+    huge_prefix = map_file(DescribedNatMap((0, 10**18), 1, (-1,)), "huge_prefix.json")
     argvs = [
         ("orbit", "succ", "3", "--window", window),
         ("orbit", "succ", big, "--window", window),
@@ -335,6 +337,7 @@ def test_every_subcommand_runs_in_bounded_memory(map_file):
         ("superset", "succ", "--istar", big),
         ("solve", step_down, "--p1"),
         ("solve", "succ", "--p2"),
+        ("solve", huge_prefix, "--p2"),
         ("export-dot", "succ", "--window", window),
     ]
     with ThreadPoolExecutor(3) as pool:
@@ -345,6 +348,8 @@ def test_every_subcommand_runs_in_bounded_memory(map_file):
     assert exits[("orbit", "succ", "3", "--window", window)] == 0
     assert exits[("orbit", "succ", "3", "--window", big)] == 0
     assert exits[("qi", "succ", "--interval", "0", big, "--k", "1", "--external")] == 0
+    # P2 holds; listing the sample G({0, 1}), the orbit of 1, raises OrbitTooLong
+    assert exits[("solve", huge_prefix, "--p2")] == 2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from strategies import descending_maps, finite_maps, nat_maps
+from strategies import descending_maps, finite_maps, huge_prefix_maps, nat_maps
 
 from quasinv import (
     DescribedNatMap,
@@ -25,11 +26,21 @@ from quasinv import (
     solve_P1,
     solve_P2,
 )
-from quasinv.orbits import hitting_time, orbit_profile
+from quasinv.orbits import (
+    hitting_time,
+    least_finite_point,
+    lock_height,
+    orbit_profile,
+    orbit_summary,
+    shift_magnitude,
+    tail_structure,
+)
 from quasinv.psolve import (
     SCOPE_ALL,
     SCOPE_INFINITE,
+    _ClassGroup,
     _comparable,
+    _descend_entry,
     _first_incomparable,
     _is_chain,
     total_order_witness,
@@ -157,6 +168,12 @@ def test_chain_test_agrees_with_pairwise_scan(case):
         (DescribedNatMap((9, 2), 2, (2, -2)), SCOPE_INFINITE, (0, 59)),
         (BULLET, SCOPE_ALL, (0, 1)),  # window
         (DescribedNatMap((0, 10**9, 0), 1, (-1,)), SCOPE_ALL, (1, 10**9 + 21)),  # low point, long descent
+        # the finite orbit of 1 tops out at 99, above rep_base (31), so the
+        # witness's second point clears that top
+        (DescribedNatMap((4, 99, 1), 2, (2, -2)), SCOPE_ALL, (1, 112)),
+        # prefix value 10^18: every entry orbit descends from it
+        (DescribedNatMap((0, 10**18), 1, (-1,)), SCOPE_ALL, (0, 2 * 10**18 + 8)),
+        (DescribedNatMap((0, 10**18), 1, (-1,)), SCOPE_INFINITE, None),
     ],
 )
 def test_total_order_witness_values(sm, scope, witness):
@@ -198,6 +215,16 @@ def test_period_maps_total_on_infinite_orbits(ks, witness):
     assert total_order_witness(sm, SCOPE_ALL) == witness
 
 
+def test_prefix_1e18_map_solves():
+    # also run from the command line in CI; every orbit is finite, and the
+    # entry orbit of the one deep class descends from 10^18
+    sm = parse_map((Path(__file__).parent / "data" / "prefix_1e18.json").read_text())
+    assert sm == DescribedNatMap((0, 0, 0, 0, 0, 0, 10**18), 1, (-1,))
+    assert total_order_witness(sm, SCOPE_ALL) == (0, 2 * 10**18 + 8)
+    sol = solve_P2(sm)
+    assert sol is not None and sol.G((2, 5)) == (0, 2, 5)
+
+
 @pytest.mark.parametrize(
     "sm, witness",
     [
@@ -228,6 +255,133 @@ def test_library_caches_stay_bounded():
         for n in (1000, 4000)
     ]
     assert peaks[1] - peaks[0] < 10 * 1024, peaks
+
+
+def _per_point_witness(sm, scope):
+    """The total-order decider with its window read point by point: a
+    summary for every point up to w_base, each low point against every deep
+    class, a chain over the mid-range of deep pairs and a chain over every
+    in-scope point up to w_final.  Linear in the largest prefix value, so
+    only for small ones."""
+    ts, m = tail_structure(sm), sm.modulus
+    kinds = ["pos" if d > 0 else "zero" if d == 0 else "neg" for d in (ts.fate(r).drift for r in range(m))]
+
+    def rep_at(value_class, base, mod):
+        return base + (value_class - base) % mod
+
+    c, deep = shift_magnitude(sm) + 1, lock_height(sm)
+    period = lcm(m, *(abs(cy.drift) for cy in ts.cycles if cy.drift != 0))
+    rep_base = deep + 2 * period + 2 * m * c
+    delta_bound = 4 * m * c + 2 * period
+    far = period * (1 + delta_bound // period)
+    beyond = far + period
+    groups = []
+    for r, kind in enumerate(kinds):
+        if kind != "neg":
+            groups.append(_ClassGroup(r, m, r, kind))
+            continue
+        stride = abs(ts.fate(r).drift)
+        for anchor in range(r, stride, m):
+            entry = _descend_entry(sm, rep_at(anchor, rep_base, period), deep)
+            groups.append(_ClassGroup(anchor, stride, r, kind, orbit_profile(sm, entry)))
+    groups.sort(key=lambda g: g.anchor)
+    exc = max([rep_base] + [g.entry_profile.max_point() for g in groups if g.kind == "neg"])
+    x0_base = w_base = exc + period
+    w_final = w_base + 2 * m * c + period + max(sm.prefix, default=0) + m
+    if scope == SCOPE_ALL and "zero" in kinds:
+        x0 = rep_at(kinds.index("zero"), rep_base, m)
+        return (x0, x0 + far)
+    memo = {}
+    pos_cycles = ts.positive_cycles()
+    pos_residues = frozenset()
+    if "pos" in kinds:
+        x_fin = least_finite_point(sm, memo) if scope == SCOPE_ALL else None
+        if x_fin is not None:
+            return (x_fin, rep_at(pos_cycles[0].residues[0], max(rep_base, memo[x_fin].top + 2 * m * c + 1), m))
+        if len(pos_cycles) > 1:
+            a = rep_at(pos_cycles[0].residues[0], rep_base, m)
+            b = rep_at(pos_cycles[1].residues[0], rep_base, m)
+            return (a, b + far) if a <= b else (b, a + far)
+        drift = pos_cycles[0].drift
+        if drift != m:
+            x0 = rep_at(pos_cycles[0].residues[0], rep_base, m)
+            return (x0, x0 + next(k * m for k in range(far // m, far // m + drift) if (k * m) % drift))
+        for r in range(m):
+            if kinds[r] == "pos" and not ts.on_cycle(r):
+                x0 = rep_at(r, rep_base, m)
+                return (x0, x0 + far)
+        pos_residues = pos_cycles[0].residue_set
+    scoped = [g for g in groups if g.in_scope(scope)]
+
+    def hits(upper, lower_value):
+        ph = ts.phases[upper.residue]
+        q = None if ph is None else ph.phase_of.get(lower_value % m)
+        return q is not None and (lower_value - upper.anchor - ph.sums[q]) % abs(ph.drift) == 0
+
+    def tail_residues(g):
+        return frozenset() if g.entry_profile.finite else g.entry_profile.tail_run.phases.residue_set
+
+    for g in scoped:
+        if g.kind == "neg" and not ts.on_cycle(g.residue):
+            x0 = rep_at(g.anchor, x0_base, period)
+            return (x0, x0 + far)
+    for low in scoped:
+        for high in scoped:
+            up = high.residue in (pos_residues if low.kind == "pos" else tail_residues(low) if low.kind == "neg" else ())
+            down = high.kind == "neg" and (hits(high, low.anchor) or low.anchor % m in tail_residues(high))
+            if not (up or down):
+                x0 = rep_at(low.anchor, x0_base, period)
+                return (x0, x0 + (high.anchor - low.anchor) % period + beyond)
+    mid_top = x0_base + period + delta_bound
+    mid = sorted(y for g in scoped for y in range(rep_at(g.anchor, x0_base, g.stride), mid_top + 1, g.stride))
+    pair = _first_incomparable(sm, mid)
+    if pair is not None:
+        return pair
+    summaries = [orbit_summary(sm, x, memo) for x in range(w_base + 1)]
+    w_final = max([w_final] + [s.threshold for s in summaries if not s.finite])
+    in_scope = [x for x in range(w_final + 1) if scope == SCOPE_ALL or not orbit_summary(sm, x, memo).finite]
+    for x in in_scope:
+        if x > w_base:
+            break
+        s = summaries[x]
+        for g in scoped:
+            if not s.finite and g.residue in s.residues:
+                continue
+            if g.kind == "neg" and ((x >= deep and hits(g, x)) or g.entry_profile.hitting(x) is not None):
+                continue
+            return (x, rep_at(g.anchor, max(w_final, s.top, x + m * c) + 1, period))
+    return _first_incomparable(sm, in_scope)
+
+
+@settings(max_examples=60, deadline=None)
+@given(descending_maps)
+@example(DescribedNatMap((0, 4000), 1, (-1,)))
+@example(DescribedNatMap((4, 99, 1), 2, (2, -2)))
+@example(DescribedNatMap((2, 4999, 0, 7), 3, (-4, 3, -4)))
+@example(DescribedNatMap((0, 4, 0), 1, (1,)))  # the first pair reaches the upper half of [0, deep)
+def test_decider_matches_per_point_reference(sm):
+    # the per-run window, without the mid-range stage, names the same first
+    # pair as the point-by-point reading in both scopes
+    for scope in (SCOPE_ALL, SCOPE_INFINITE):
+        assert total_order_witness(sm, scope) == _per_point_witness(sm, scope), scope
+
+
+@settings(max_examples=60, deadline=None)
+@given(huge_prefix_maps, st.sampled_from([SCOPE_ALL, SCOPE_INFINITE]))
+@example(DescribedNatMap((5, 10**18, 2), 1, (-1,)), SCOPE_ALL)
+@example(DescribedNatMap((10**18,), 1, (-1,)), SCOPE_ALL)
+@example(DescribedNatMap((3, 10**18, 7), 1, (-1,)), SCOPE_INFINITE)
+def test_decider_cost_ignores_prefix_values(sm, scope):
+    # at prefix values up to 10^18 the decider answers from a bounded number
+    # of profiles, and its witness is an in-scope incomparable pair
+    misses = orbit_profile.cache_info().misses
+    wit = total_order_witness.__wrapped__(sm, scope)
+    assert orbit_profile.cache_info().misses - misses < 1000
+    if wit is not None:
+        x, y = wit
+        assert x < y and hitting_time(sm, x, y) is None and hitting_time(sm, y, x) is None
+        if scope == SCOPE_INFINITE:
+            assert not orbit_profile(sm, x).finite and not orbit_profile(sm, y).finite
 
 
 @settings(max_examples=150, deadline=None)
