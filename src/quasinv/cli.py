@@ -23,7 +23,7 @@ from . import orbits as orbits_mod
 from . import psolve as psolve_mod
 from . import quasi as quasi_mod
 from . import supersets as supersets_mod
-from .errors import InfiniteOrbitError, QuasinvError
+from .errors import InfiniteOrbitError, OrbitTooLong, QuasinvError
 from .selfmap import BLOCK_POINTS, NAMED_MAPS, FiniteTable, SelfMap, named_map, parse_map
 
 DEFAULT_WINDOW = 200
@@ -176,8 +176,11 @@ def _cmd_solve(args) -> int:
     top = sm.size - 1 if isinstance(sm, FiniteTable) else 5
     samples = [(0,), (0, min(1, top)), (min(2, top), min(5, top))]
     for sample in dict.fromkeys(tuple(sorted(set(s))) for s in samples):
-        g = sol.G(sample)
-        print(f"G({_fmt_set(sample)}) = {_fmt_set(g)}  u = {sol.u(sample)}")
+        try:
+            g = _fmt_set(sol.G(sample))
+        except OrbitTooLong as exc:  # the verdict stands; only this sample cannot be listed
+            g = f"<orbit of {exc.start} too long to list>"
+        print(f"G({_fmt_set(sample)}) = {g}  u = {sol.u(sample)}")
     return 0
 
 

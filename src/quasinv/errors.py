@@ -55,3 +55,7 @@ class ConfigError(QuasinvError):
 
 class OrbitTooLong(QuasinvError):
     """Listing an orbit point by point would exceed ``orbits.MAX_LISTED_POINTS``."""
+
+    def __init__(self, start: int, n: int, limit: int):
+        super().__init__(f"listing {n} points of the orbit of {start} exceeds the limit of {limit}")
+        self.start = start

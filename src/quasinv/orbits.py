@@ -182,8 +182,9 @@ class OrbitResult:
 # Listing an orbit point by point stops above this many points.  At the
 # limit, points() of prefix [0], shift -1 peaks at 0.41 GB resident (VmHWM,
 # Python 3.11): the points and the one tuple that holds them, filled from
-# ranges.  orbit() peaks at 0.49 GB, adding the tail it slices from that
-# tuple; its link check holds one block of images at a time.
+# ranges.  orbit() peaks at the same 0.41 GB: it fills tail and cycle from
+# the segments in the same way, and its link check holds one block of images
+# at a time.
 MAX_LISTED_POINTS = 10**7
 
 
@@ -378,11 +379,18 @@ class OrbitProfile:
             n = self.length
         elif n <= len(self.seq) and (not self.runs or n <= self.runs[0].base):
             return self.seq[:n]
+        return tuple(itertools.chain.from_iterable(self._parts(n)))
+
+    def _parts(self, n: int) -> list[Sequence[int]]:
+        """The first n points in step order as segments: the walked points
+        before each run (a slice of ``seq``, perhaps empty), that run's
+        listed points, and so on, ending with a slice of ``seq``.  So part
+        2i + 1 is run i's.
+
+        Raises OrbitTooLong above MAX_LISTED_POINTS points, before listing.
+        """
         if n > MAX_LISTED_POINTS:
-            raise OrbitTooLong(
-                f"listing {n} points of the orbit of {self.start} exceeds "
-                f"the limit of {MAX_LISTED_POINTS}"
-            )
+            raise OrbitTooLong(self.start, n, MAX_LISTED_POINTS)
         parts: list[Sequence[int]] = []
         k = walked = 0  # points listed so far, and how many of them were walked
         for run in self.runs:
@@ -393,7 +401,7 @@ class OrbitProfile:
             k = min(n, run.base + run.count) if run.count is not None else n
             parts.append(run.listed(k - run.base))
         parts.append(self.seq[walked : walked + n - k])
-        return tuple(itertools.chain.from_iterable(parts))
+        return parts
 
     def starts(self) -> Iterator[int]:
         """The first point of every segment: each walked point, and each
@@ -453,25 +461,91 @@ def orbit_profile(sm: SelfMap, x: int) -> OrbitProfile:
     return OrbitProfile(sm, x)
 
 
+def _check_walked_links(sm: SelfMap, pts: Sequence[int], nxt: int) -> None:
+    """Check, BLOCK_POINTS points at a time with one ``sm.images`` call per
+    block, that each point of ``pts`` maps to the one after it and the last
+    one to ``nxt``."""
+    b0 = 0
+    while b0 + BLOCK_POINTS < len(pts):  # a full block, and the point after it
+        b1 = b0 + BLOCK_POINTS
+        assert sm.images(pts[b0:b1]) == list(pts[b0 + 1 : b1 + 1])
+        b0 = b1
+    assert sm.images(pts[b0:]) == [*pts[b0 + 1 :], nxt]
+
+
+def _check_run_links(sm: DescribedNatMap, run: _Run, part: Sequence[int], nxt: int) -> None:
+    """Check that each point of ``part``, the run's listed points, maps to
+    the one after it and the last one to ``nxt``: the links inside the run
+    once per phase, by the lemma in ``orbit``, and the last link by ``sm``."""
+    sums, drift = run.phases.sums, run.phases.drift
+    period, count = len(sums), len(part)
+    assert drift % sm.modulus == 0
+    for q in range(min(period, count - 1)):
+        a = run.v0 + sums[q]  # the phase's first interior point
+        b = a + (count - 2 - q) // period * drift  # and its last
+        step = (sums[q + 1] if q + 1 < period else drift) - sums[q]
+        assert min(a, b) >= sm.prefix_len
+        assert sm(a) == a + step and sm(b) == b + step
+    assert sm(part[-1]) == nxt
+
+
 def orbit(sm: SelfMap, x: int) -> OrbitResult:
     """Tail/cycle decomposition of the orbit of x, or an infinitude certificate.
 
     Every link of a finite orbit is checked against the map, so the listing
-    raises OrbitTooLong above MAX_LISTED_POINTS points.  The check takes
-    BLOCK_POINTS points at a time: their images, from one ``sm.images`` call,
-    must be the points that follow them, and the last point's image must be
-    the cycle's first point.
+    raises OrbitTooLong above MAX_LISTED_POINTS points, before any point is
+    listed.  Each kind of link is checked its own way:
+
+    * walked points (``seq``), BLOCK_POINTS at a time: their images, from one
+      ``sm.images`` call, must be the points that follow them;
+    * the links inside a run, once per phase, by the lemma below;
+    * the link from each segment's last point into the next segment, and the
+      link from the orbit's last point back to the cycle's first, by ``sm``.
+
+    Lemma.  Let a run's phase q hold the interior points (those followed by a
+    point of the same run) v0 + sums[q] + j * drift, j = 0..J.  As drift is a
+    multiple of the modulus, they all have one residue; if the lowest, at
+    j = 0 or j = J, is at or above the prefix, the map adds that residue's
+    shift to each, so sm(p) - p is the same for all of them.  The run's point
+    after each lies one fixed distance on (sums[q + 1] - sums[q], or drift -
+    sums[q] in the last phase), so sm at the phase's first interior point
+    proves every link of the phase; the last is evaluated too.  The run's
+    listing (``_Run.listed``) is those very points, so every listed link is
+    verified.
+
+    A profile with no runs is one walked segment: its links take the block
+    check alone.  Otherwise ``tail`` and ``cycle`` are filled straight from
+    the segments (``OrbitProfile._parts``), so the orbit is held once.
     """
     prof = orbit_profile(sm, x)
-    if prof.finite:
-        pts = prof.points()
-        b0 = 0
-        while b0 + BLOCK_POINTS < len(pts):  # a full block, and the point after it
-            b1 = b0 + BLOCK_POINTS
-            assert sm.images(pts[b0:b1]) == list(pts[b0 + 1 : b1 + 1])
-            b0 = b1
-        assert sm.images(pts[b0:]) == [*pts[b0 + 1 :], pts[prof.mu]]
+    if prof.finite and not prof.runs:
+        pts = prof.seq
+        _check_walked_links(sm, pts, pts[prof.mu])
         return OrbitResult(tail=pts[: prof.mu], cycle=pts[prof.mu :])
+    if prof.finite:
+        n, mu = prof.length, prof.mu
+        parts = prof._parts(n)
+        # every walked point and run step is in the parts once
+        assert len(prof.seq) + sum(map(len, parts[1::2])) == n
+        nxt = prof.point_at(mu)  # where each part's last point maps, last part first
+        for i in range(len(parts) - 1, -1, -1):
+            part = parts[i]
+            if not part:
+                continue
+            if i % 2:
+                _check_run_links(sm, prof.runs[i // 2], part, nxt)
+            else:
+                _check_walked_links(sm, part, nxt)
+            nxt = part[0]
+        k = i = 0  # find the part that holds step mu, and mu's index in it
+        while k + len(parts[i]) <= mu:
+            k += len(parts[i])
+            i += 1
+        chain, cut = itertools.chain, parts[i]
+        return OrbitResult(
+            tail=tuple(chain(*parts[:i], itertools.islice(cut, mu - k))),
+            cycle=tuple(chain(itertools.islice(cut, mu - k, None), *parts[i + 1 :])),
+        )
     tail = prof.tail_run
     cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
     cert.validate(sm)

@@ -348,8 +348,9 @@ def test_every_subcommand_runs_in_bounded_memory(map_file):
     assert exits[("orbit", "succ", "3", "--window", window)] == 0
     assert exits[("orbit", "succ", "3", "--window", big)] == 0
     assert exits[("qi", "succ", "--interval", "0", big, "--k", "1", "--external")] == 0
-    # P2 holds; listing the sample G({0, 1}), the orbit of 1, raises OrbitTooLong
-    assert exits[("solve", huge_prefix, "--p2")] == 2
+    # P2 holds; the samples G({0, 1}) and G({2, 5}) are too long to list, and
+    # each prints as one line without changing the verdict
+    assert exits[("solve", huge_prefix, "--p2")] == 0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

@@ -367,10 +367,11 @@ TWIN_CYCLE = FiniteTable(tuple((i + 1) % 6 for i in range(12)))
 )
 def test_orbit_checks_every_link_of_the_listing(monkeypatch, wrong):
     monkeypatch.setattr(orbits_mod, "BLOCK_POINTS", 4)  # blocks [0, 4) and [4, 6)
-    listing = orbit_profile(TWIN_CYCLE, 0).points()
-    assert listing == (0, 1, 2, 3, 4, 5) and orbit(TWIN_CYCLE, 0).cycle == listing
-    corrupt = listing[:wrong] + (listing[wrong] + 6,) + listing[wrong + 1 :]
-    monkeypatch.setattr(orbits_mod.OrbitProfile, "points", lambda self, n=None: corrupt)
+    prof = orbit_profile(TWIN_CYCLE, 0)
+    assert prof.seq == (0, 1, 2, 3, 4, 5) and not prof.runs
+    assert orbit(TWIN_CYCLE, 0).cycle == prof.seq
+    corrupt = prof.seq[:wrong] + (prof.seq[wrong] + 6,) + prof.seq[wrong + 1 :]
+    monkeypatch.setattr(prof, "seq", corrupt)
     with pytest.raises(AssertionError):
         orbit(TWIN_CYCLE, 0)
 
@@ -378,6 +379,112 @@ def test_orbit_checks_every_link_of_the_listing(monkeypatch, wrong):
 def test_orbit_of_a_long_descent_lists_every_link():
     res = orbit(STEP_DOWN3, 10**6 + 1)
     assert res.cycle == (2,) and res.tail == tuple(range(10**6 + 1, 2, -3))
+
+
+def test_orbit_of_a_long_descent_evaluates_few_points(monkeypatch):
+    # the run's links are proved once per phase, not point by point
+    evaluated = 0
+    call, images = DescribedNatMap.__call__, DescribedNatMap.images
+
+    def counted_call(self, x):
+        nonlocal evaluated
+        evaluated += 1
+        return call(self, x)
+
+    def counted_images(self, xs):
+        nonlocal evaluated
+        evaluated += len(xs)
+        return images(self, xs)
+
+    monkeypatch.setattr(DescribedNatMap, "__call__", counted_call)
+    monkeypatch.setattr(DescribedNatMap, "images", counted_images)
+    res = orbit(STEP_DOWN3, 10**6 + 1)
+    assert evaluated < 1000
+    assert res.cycle == (2,) and len(res.tail) == (10**6 + 1 - 2) // 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(descending_maps, st.integers(0, 10**5))
+def test_orbit_matches_per_point_walk(sm, x):
+    res = orbit(sm, x)
+    if not res.is_finite:
+        res.certificate.validate(sm)
+        return
+    # a finite orbit here has distinct points below 2 * 10^5, so 10^6 steps close it
+    walk, first, closed = _naive(sm, x, 10**6)
+    mu = first[sm(walk[-1])]
+    assert closed and (res.tail, res.cycle) == (tuple(walk[:mu]), tuple(walk[mu:]))
+    listing = res.tail + res.cycle
+    assert all(sm(p) == q for p, q in zip(listing, listing[1:] + res.cycle[:1]))
+
+
+# 20, 19, ..., 6 -> 5 -> 0 -> 0: the table agrees with the shift -1 below the
+# prefix except at 5, so a run listed down to 3 holds one false link, 5 -> 4,
+# between two true ones at its ends
+DIP = DescribedNatMap((0, 0, 1, 2, 3, 0, 5, 6, 7, 8), 1, (-1,))
+# residues 0 and 1 step down by two, residue 2 by five: a run of drift -2
+# from 30 lists 30, 28, 26, 24, 22, whose links hold at both ends but not at 26
+MIXED_DOWN = DescribedNatMap((0,) * 6, 3, (-2, -2, -5))
+DRIFT_2 = orbits_mod.CyclePhases((0,), (0,), {0: 0}, -2, 3, frozenset({0}))
+
+
+@pytest.mark.parametrize(
+    "sm, x, mutate",
+    [
+        (STEP_DOWN3, 10**4 + 1, lambda run: {"runs": (run._replace(v0=run.v0 + 3),)}),
+        (STEP_DOWN3, 10**4 + 1, lambda run: {"runs": (run._replace(count=run.count - 1),)}),
+        (
+            STEP_DOWN3,
+            10**4 + 1,
+            lambda run: {"runs": (run._replace(phases=run.phases._replace(drift=-6)),)},
+        ),
+        (
+            DIP,
+            20,
+            lambda run: {
+                "runs": (run._replace(count=18),),
+                "seq": (2, 1, 0),
+                "length": 21,
+                "mu": 20,
+            },
+        ),
+        (
+            MIXED_DOWN,
+            30,
+            lambda run: {
+                "runs": (run._replace(phases=DRIFT_2, count=5),),
+                "seq": (20, 15, 13, 11, 6, 4, 0),
+                "length": 12,
+                "mu": 11,
+            },
+        ),
+        (
+            MIXED_DOWN,
+            30,
+            lambda run: {"runs": (run._replace(phases=run.phases._replace(sums=(0, -3, -4))),)},
+        ),
+        # 20, 15, 13 as a run, then 11, 6, 4, 0 walked
+        (MIXED_DOWN, 20, lambda run: {"seq": (11, 7, 4, 0)}),
+        (MIXED_DOWN, 20, lambda run: {"mu": 5}),
+    ],
+    ids=[
+        "v0 moved by one modulus",
+        "count - 1",
+        "changed drift",
+        "run dips below the prefix",
+        "drift off the modulus",
+        "changed phase offsets",
+        "walked point after a run",
+        "closing link back to mu after a run",
+    ],
+)
+def test_orbit_rejects_a_corrupt_profile_with_runs(monkeypatch, sm, x, mutate):
+    prof = orbit_profile(sm, x)
+    orbit(sm, x)  # the true profile passes
+    for name, value in mutate(prof.runs[0]).items():
+        monkeypatch.setattr(prof, name, value)
+    with pytest.raises(AssertionError):
+        orbit(sm, x)
 
 
 def test_descent_closing_inside_an_earlier_run():
