@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -24,9 +25,13 @@ from . import psolve as psolve_mod
 from . import quasi as quasi_mod
 from . import supersets as supersets_mod
 from .errors import InfiniteOrbitError, OrbitTooLong, QuasinvError
-from .selfmap import BLOCK_POINTS, NAMED_MAPS, FiniteTable, SelfMap, named_map, parse_map
+from .selfmap import NAMED_MAPS, FiniteTable, SelfMap, named_map, parse_map
 
 DEFAULT_WINDOW = 200
+# Long listings (an orbit's points, a window's points or edges) are written
+# this many points at a time, so their memory stays flat in the listing's
+# length.
+BLOCK_POINTS = 1 << 16
 
 
 def _load_map(source: str) -> SelfMap:
@@ -64,6 +69,17 @@ def _fmt_set(points) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _write_list(out, blocks) -> None:
+    """Write the points of ``blocks``, an iterable of lists, as one Python list."""
+    out.write("[")
+    sep = ""
+    for block in blocks:
+        if block:
+            out.write(sep + str(block)[1:-1])  # a list's repr, made in C
+            sep = ", "
+    out.write("]")
+
+
 def _write_omitted(out, profile: orbits_mod.OrbitProfile, w: int) -> None:
     """Write the points of [0, w] off the orbit, as a Python list, block by
     block: each block drops the slices of the orbit's ascending runs and
@@ -71,32 +87,37 @@ def _write_omitted(out, profile: orbits_mod.OrbitProfile, w: int) -> None:
     parts = [sorted(p for p in profile.seq if p <= w), *profile.runs_upto(w)]
     # a cofinite orbit holds every point from its threshold on
     top = min(w, profile.asymptotic_threshold()) if profile.is_cofinite() else w
-    out.write(f"omitted within [0,{w}]: [")
-    sep = ""
-    for b0 in range(0, top + 1, BLOCK_POINTS):
+
+    def missing(b0: int) -> list[int]:
         b1 = min(b0 + BLOCK_POINTS, top + 1)
-        missing = set(range(b0, b1))
+        left = set(range(b0, b1))
         for part in parts:
-            missing.difference_update(part[bisect_left(part, b0) : bisect_left(part, b1)])
-        if missing:
-            out.write(sep + str(sorted(missing))[1:-1])  # a list's repr, made in C
-            sep = ", "
-    out.write("]\n")
+            left.difference_update(part[bisect_left(part, b0) : bisect_left(part, b1)])
+        return sorted(left)
+
+    out.write(f"omitted within [0,{w}]: ")
+    _write_list(out, map(missing, range(0, top + 1, BLOCK_POINTS)))
+    out.write("\n")
 
 
 def _cmd_orbit(args) -> int:
     sm = _load_map(args.map)
     w = _window(args)
     res = orbits_mod.orbit(sm, args.point)
+    out = sys.stdout
     if res.is_finite:
-        print(f"finite tail={list(res.tail)} cycle={list(res.cycle)}")
+        for label, pts in (("finite tail=", res.tail), (" cycle=", res.cycle)):
+            out.write(label)
+            blocks = range(0, len(pts), BLOCK_POINTS)
+            _write_list(out, (list(pts[b : b + BLOCK_POINTS]) for b in blocks))
+        out.write("\n")
     else:
         cert = res.certificate
         print(
             f"infinite entry={cert.entry_height} "
             f"residue_cycle={list(cert.residue_cycle)} drift={cert.drift}"
         )
-        _write_omitted(sys.stdout, orbits_mod.orbit_profile(sm, args.point), w)
+        _write_omitted(out, orbits_mod.orbit_profile(sm, args.point), w)
     return 0
 
 
@@ -218,13 +239,15 @@ def _cmd_export_dot(args) -> int:
     else:
         out.write(f"  // nodes truncated to [0,{w}]; tail rule labels give the residue shift\n")
         out.writelines(f"  {x} -> {y};\n" for x, y in enumerate(sm.prefix[: w + 1]) if y <= w)
-        labels = {c: f'[label="{c:+d}"]' for c in sm.shifts}  # by the edge's shift y - x
+        rules = [(c, f'[label="{c:+d}"]') for c in sm.shifts]  # by residue
         for b0 in range(sm.prefix_len, w + 1, BLOCK_POINTS):
             block = range(b0, min(b0 + BLOCK_POINTS, w + 1))
+            r = b0 % sm.modulus  # the rule of each x in the block, from b0's residue on
+            rule = itertools.cycle(rules[r:] + rules[:r])
             out.write("".join([
-                f"  {x} -> {y} {labels[y - x]};\n"
-                for x, y in enumerate(sm.images(block), b0)
-                if y <= w
+                f"  {x} -> {x + c} {label};\n"
+                for x, (c, label) in zip(block, rule)
+                if x + c <= w
             ]))
     out.write("}\n")
     return 0

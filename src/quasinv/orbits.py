@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import OrbitTooLong, OutOfDomain
-from .selfmap import BLOCK_POINTS, DescribedNatMap, FiniteTable, SelfMap
+from .selfmap import DescribedNatMap, FiniteTable, SelfMap
 
 # Bounds of the library caches, in entries.  Each lies above the working set
 # of the benchmark run that needs the most entries, so no workload evicts:
@@ -183,8 +183,7 @@ class OrbitResult:
 # limit, points() of prefix [0], shift -1 peaks at 0.41 GB resident (VmHWM,
 # Python 3.11): the points and the one tuple that holds them, filled from
 # ranges.  orbit() peaks at the same 0.41 GB: it fills tail and cycle from
-# the segments in the same way, and its link check holds one block of images
-# at a time.
+# the segments in the same way.
 MAX_LISTED_POINTS = 10**7
 
 
@@ -462,15 +461,9 @@ def orbit_profile(sm: SelfMap, x: int) -> OrbitProfile:
 
 
 def _check_walked_links(sm: SelfMap, pts: Sequence[int], nxt: int) -> None:
-    """Check, BLOCK_POINTS points at a time with one ``sm.images`` call per
-    block, that each point of ``pts`` maps to the one after it and the last
+    """Check that each point of ``pts`` maps to the one after it and the last
     one to ``nxt``."""
-    b0 = 0
-    while b0 + BLOCK_POINTS < len(pts):  # a full block, and the point after it
-        b1 = b0 + BLOCK_POINTS
-        assert sm.images(pts[b0:b1]) == list(pts[b0 + 1 : b1 + 1])
-        b0 = b1
-    assert sm.images(pts[b0:]) == [*pts[b0 + 1 :], nxt]
+    assert list(map(sm, pts)) == [*pts[1:], nxt]
 
 
 def _check_run_links(sm: DescribedNatMap, run: _Run, part: Sequence[int], nxt: int) -> None:
@@ -496,8 +489,7 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     raises OrbitTooLong above MAX_LISTED_POINTS points, before any point is
     listed.  Each kind of link is checked its own way:
 
-    * walked points (``seq``), BLOCK_POINTS at a time: their images, from one
-      ``sm.images`` call, must be the points that follow them;
+    * walked points (``seq``): ``sm`` at each must give the point after it;
     * the links inside a run, once per phase, by the lemma below;
     * the link from each segment's last point into the next segment, and the
       link from the orbit's last point back to the cycle's first, by ``sm``.
@@ -513,9 +505,9 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     listing (``_Run.listed``) is those very points, so every listed link is
     verified.
 
-    A profile with no runs is one walked segment: its links take the block
-    check alone.  Otherwise ``tail`` and ``cycle`` are filled straight from
-    the segments (``OrbitProfile._parts``), so the orbit is held once.
+    A profile with no runs is one walked segment, sliced at ``mu``.
+    Otherwise ``tail`` and ``cycle`` are filled straight from the segments
+    (``OrbitProfile._parts``), so the orbit is held once.
     """
     prof = orbit_profile(sm, x)
     if prof.finite and not prof.runs:
@@ -537,15 +529,9 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
             else:
                 _check_walked_links(sm, part, nxt)
             nxt = part[0]
-        k = i = 0  # find the part that holds step mu, and mu's index in it
-        while k + len(parts[i]) <= mu:
-            k += len(parts[i])
-            i += 1
-        chain, cut = itertools.chain, parts[i]
-        return OrbitResult(
-            tail=tuple(chain(*parts[:i], itertools.islice(cut, mu - k))),
-            cycle=tuple(chain(itertools.islice(cut, mu - k, None), *parts[i + 1 :])),
-        )
+        steps = itertools.chain.from_iterable(parts)
+        tail = tuple(itertools.islice(steps, mu))
+        return OrbitResult(tail=tail, cycle=tuple(steps))
     tail = prof.tail_run
     cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
     cert.validate(sm)

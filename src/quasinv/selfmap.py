@@ -21,17 +21,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import InvalidMap, OutOfDomain, ParseError
-
-
-# Long listings (an orbit's links, a window's points or edges) are evaluated
-# and written this many points at a time, so their memory stays flat in the
-# listing's length.
-BLOCK_POINTS = 1 << 16
 
 
 def _check_natural(value: object, what: str) -> int:
@@ -76,16 +69,6 @@ class FiniteTable:
         if not 0 <= x < len(table):
             raise OutOfDomain(f"{x} is outside [0, {len(table)})")
         return table[x]
-
-    def images(self, xs: Sequence[int]) -> list[int]:
-        """``[self(x) for x in xs]`` in one pass, raising OutOfDomain as that would."""
-        table = self.table
-        try:
-            if not xs or min(xs) >= 0:  # a negative index would wrap round
-                return [table[x] for x in xs]
-        except (IndexError, TypeError):
-            pass
-        return [self(x) for x in xs]  # a point off the domain: raise as its call does
 
     def iterate(self, x: int, k: int) -> int:
         """Apply the map ``k`` times; ``k = 0`` returns ``x`` unchanged."""
@@ -139,17 +122,6 @@ class DescribedNatMap:
         if x < len(self.prefix):
             return self.prefix[x]
         return x + self.shifts[x % self.modulus]
-
-    def images(self, xs: Sequence[int]) -> list[int]:
-        """``[self(x) for x in xs]`` in one pass, raising OutOfDomain as that would."""
-        prefix, shifts, m = self.prefix, self.shifts, self.modulus
-        n = len(prefix)
-        try:
-            if not xs or min(xs) >= 0:  # a negative index would wrap round
-                return [prefix[x] if x < n else x + shifts[x % m] for x in xs]
-        except TypeError:
-            pass
-        return [self(x) for x in xs]  # a point off the domain: raise as its call does
 
     def iterate(self, x: int, k: int) -> int:
         """Apply the map ``k`` times; ``k = 0`` returns ``x`` unchanged."""

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from quasinv import serialize_map, named_map, DescribedNatMap
-from quasinv.cli import main
+from quasinv.cli import BLOCK_POINTS, main
+from quasinv.orbits import orbit, orbit_profile
 
 
 @pytest.fixture
@@ -187,6 +188,15 @@ def test_orbit_of_a_long_descent_exits_0(capsys, map_file):
     assert out.startswith("finite tail=[1000000, 999999,") and out.rstrip().endswith("cycle=[0]")
 
 
+def test_finite_orbit_prints_whole_across_blocks(capsys, map_file):
+    # the tail is written BLOCK_POINTS points at a time: two full blocks and five points
+    x = 2 * BLOCK_POINTS + 5
+    res = orbit(STEP_DOWN, x)
+    code, out, err = run(capsys, "orbit", map_file(STEP_DOWN), str(x))
+    assert code == 0 and err == ""
+    assert out == f"finite tail={list(res.tail)} cycle={list(res.cycle)}\n"
+
+
 def test_orbit_too_long_to_list_exits_2(capsys, map_file):
     code, out, err = run(capsys, "orbit", map_file(STEP_DOWN), str(10**18))
     assert code == 2 and out == ""
@@ -267,9 +277,6 @@ def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch):
 
 
 def test_window_outputs_across_blocks(capsys, map_file):
-    from quasinv.selfmap import BLOCK_POINTS
-    from quasinv.orbits import orbit_profile
-
     sm = DescribedNatMap((7, 0, 9), 3, (3, -1, 2))  # every orbit climbs by 3 in class 0
     path, w = map_file(sm), 2 * BLOCK_POINTS + 5
     # the orbit of succ from beyond a block is cofinite, its listing cut at the start

@@ -363,10 +363,9 @@ TWIN_CYCLE = FiniteTable(tuple((i + 1) % 6 for i in range(12)))
 @pytest.mark.parametrize(
     "wrong",
     [1, 4, 0],
-    ids=["first link", "link across the block edge", "closing link back to mu"],
+    ids=["first link", "inner link", "closing link back to mu"],
 )
 def test_orbit_checks_every_link_of_the_listing(monkeypatch, wrong):
-    monkeypatch.setattr(orbits_mod, "BLOCK_POINTS", 4)  # blocks [0, 4) and [4, 6)
     prof = orbit_profile(TWIN_CYCLE, 0)
     assert prof.seq == (0, 1, 2, 3, 4, 5) and not prof.runs
     assert orbit(TWIN_CYCLE, 0).cycle == prof.seq
@@ -384,20 +383,14 @@ def test_orbit_of_a_long_descent_lists_every_link():
 def test_orbit_of_a_long_descent_evaluates_few_points(monkeypatch):
     # the run's links are proved once per phase, not point by point
     evaluated = 0
-    call, images = DescribedNatMap.__call__, DescribedNatMap.images
+    call = DescribedNatMap.__call__
 
     def counted_call(self, x):
         nonlocal evaluated
         evaluated += 1
         return call(self, x)
 
-    def counted_images(self, xs):
-        nonlocal evaluated
-        evaluated += len(xs)
-        return images(self, xs)
-
     monkeypatch.setattr(DescribedNatMap, "__call__", counted_call)
-    monkeypatch.setattr(DescribedNatMap, "images", counted_images)
     res = orbit(STEP_DOWN3, 10**6 + 1)
     assert evaluated < 1000
     assert res.cycle == (2,) and len(res.tail) == (10**6 + 1 - 2) // 3
