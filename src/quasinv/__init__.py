@@ -27,6 +27,7 @@ from .errors import (
 )
 from .orbits import (
     DriftCertificate,
+    Listing,
     OrbitResult,
     XiResult,
     check_p_tilde,

@@ -298,13 +298,10 @@ def _check_orbit_links(cfg: SuiteConfig) -> _Recorder:
             if not res.is_finite:
                 rec.check(True, sm)
                 continue
-            chain = res.tail + res.cycle
-            ok = all(
-                sm(chain[i]) == (chain[i + 1] if i + 1 < len(chain) else res.cycle[0])
-                for i in range(len(res.tail))
-            ) and all(
-                sm(res.cycle[i]) == res.cycle[(i + 1) % len(res.cycle)]
-                for i in range(len(res.cycle))
+            chain, mu = res.tail + res.cycle, len(res.tail)
+            # each point maps to the next, and the last back to the cycle's first
+            ok = len(chain) > mu and all(
+                sm(a) == b for a, b in zip(chain, chain[1:] + chain[mu : mu + 1])
             )
             rec.check(ok, sm, point=x)
     return rec

@@ -21,9 +21,12 @@ OrbitTooLong.
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import OrbitTooLong, OutOfDomain
 from .selfmap import DescribedNatMap, FiniteTable, SelfMap
@@ -166,12 +169,99 @@ class DriftCertificate:
         assert h - self.entry_height == self.drift
 
 
+class Listing(Sequence):
+    """A read-only run of points held as the segments that list them, in order.
+
+    ``parts`` are sequences of ints (slices of a profile's walked points,
+    ranges, lists), possibly empty, and ``length`` is their total length,
+    taken as given.  A Listing behaves as the tuple of its points: it
+    compares equal to that tuple (never to a list), hashes like it, prints
+    like it, and ``+`` and slices give tuples.  ``len`` is O(1) and
+    iteration chains the parts; an index or a slice finds its parts by
+    bisection over the parts' ends, summed on first use, and a slice reads
+    only the parts it covers.
+    """
+
+    __slots__ = ("parts", "_len", "_ends")
+
+    def __init__(self, parts: Sequence[Sequence[int]], length: int):
+        self.parts = parts
+        self._len = length
+        self._ends: list[int] | None = None  # each part's end index, once asked for
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        return itertools.chain.from_iterable(self.parts)
+
+    def _part_ends(self) -> list[int]:
+        if self._ends is None:
+            self._ends = list(itertools.accumulate(map(len, self.parts)))
+        return self._ends
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(self._len)[i]  # the indexes the slice takes, in its order
+            if not r:
+                return ()
+            if r.step < 0:
+                return self._take(r[::-1])[::-1]
+            return self._take(r)
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("Listing index out of range")
+        ends = self._part_ends()
+        j = bisect_right(ends, i)  # the first part ending after i, so not empty
+        return self.parts[j][i - ends[j]]  # counted back from the part's end
+
+    def _take(self, r: range) -> tuple[int, ...]:
+        """The points at the indexes of ``r``, a nonempty ascending range."""
+        ends, step = self._part_ends(), r.step
+        pieces = []
+        i, j = r.start, bisect_right(ends, r.start)
+        while i < r.stop:
+            part, end = self.parts[j], ends[j]
+            begin, stop = end - len(part), min(end, r.stop)
+            pieces.append(part[i - begin : stop - begin : step])
+            i += len(range(i, stop, step)) * step
+            j += 1
+        return tuple(itertools.chain.from_iterable(pieces))
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, Listing)):
+            return NotImplemented
+        return self._len == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if not isinstance(other, (tuple, Listing)):
+            return NotImplemented
+        return tuple(itertools.chain(self, other))
+
+    def __radd__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(itertools.chain(other, self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class OrbitResult:
-    """Either an exact tail/cycle decomposition or an infinitude certificate."""
+    """Either an exact tail/cycle decomposition or an infinitude certificate.
 
-    tail: tuple[int, ...] | None = None
-    cycle: tuple[int, ...] | None = None
+    ``tail`` and ``cycle`` are tuples when the orbit's profile has no runs,
+    and Listings over its segments otherwise; either compares equal to the
+    tuple of its points."""
+
+    tail: Sequence[int] | None = None
+    cycle: Sequence[int] | None = None
     certificate: DriftCertificate | None = None
 
     @property
@@ -182,8 +272,8 @@ class OrbitResult:
 # Listing an orbit point by point stops above this many points.  At the
 # limit, points() of prefix [0], shift -1 peaks at 0.41 GB resident (VmHWM,
 # Python 3.11): the points and the one tuple that holds them, filled from
-# ranges.  orbit() peaks at the same 0.41 GB: it fills tail and cycle from
-# the segments in the same way.
+# ranges.  orbit() holds the segments, not the points (19 MB there), but
+# keeps the limit: its callers may iterate every point.
 MAX_LISTED_POINTS = 10**7
 
 
@@ -505,9 +595,10 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     listing (``_Run.listed``) is those very points, so every listed link is
     verified.
 
-    A profile with no runs is one walked segment, sliced at ``mu``.
-    Otherwise ``tail`` and ``cycle`` are filled straight from the segments
-    (``OrbitProfile._parts``), so the orbit is held once.
+    A profile with no runs is one walked segment, sliced at ``mu`` into
+    tuples.  Otherwise the segments (``OrbitProfile._parts``) are cut at
+    ``mu``, and ``tail`` and ``cycle`` are two Listings over them, so the
+    result costs O(segments), not O(points); a one-phase run stays a range.
     """
     prof = orbit_profile(sm, x)
     if prof.finite and not prof.runs:
@@ -529,9 +620,12 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
             else:
                 _check_walked_links(sm, part, nxt)
             nxt = part[0]
-        steps = itertools.chain.from_iterable(parts)
-        tail = tuple(itertools.islice(steps, mu))
-        return OrbitResult(tail=tail, cycle=tuple(steps))
+        i, cut = 0, mu  # the cycle starts at index cut of part i
+        while cut >= len(parts[i]):
+            cut -= len(parts[i])
+            i += 1
+        tail = Listing([*parts[:i], parts[i][:cut]], mu)
+        return OrbitResult(tail=tail, cycle=Listing([parts[i][cut:], *parts[i + 1 :]], n - mu))
     tail = prof.tail_run
     cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
     cert.validate(sm)

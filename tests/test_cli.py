@@ -9,7 +9,7 @@ import pytest
 
 from quasinv import serialize_map, named_map, DescribedNatMap
 from quasinv.cli import BLOCK_POINTS, main
-from quasinv.orbits import orbit, orbit_profile
+from quasinv.orbits import MAX_LISTED_POINTS, orbit, orbit_profile
 
 
 @pytest.fixture
@@ -358,6 +358,30 @@ def test_every_subcommand_runs_in_bounded_memory(map_file):
     # P2 holds; the samples G({0, 1}) and G({2, 5}) are too long to list, and
     # each prints as one line without changing the verdict
     assert exits[("solve", huge_prefix, "--p2")] == 0
+
+
+# Lists the orbit of 10^7 - 1 under STEP_DOWN, the most points orbit() lists,
+# then prints the process's peak resident set in kB.
+_LIBRARY_ORBIT = """
+from quasinv import DescribedNatMap, orbit
+res = orbit(DescribedNatMap((0,), 1, (-1,)), 10**7 - 1)
+assert len(res.tail) == 10**7 - 1 and res.cycle == (0,)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read from /proc")
+def test_finite_orbit_at_the_listing_limit_stays_small(map_file):
+    # orbit() holds the orbit's segments, not its points, and the CLI writes
+    # them block by block, so neither comes near the listing's 0.41 GB
+    lib = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_ORBIT], capture_output=True, text=True, timeout=300
+    )
+    assert lib.returncode == 0, lib.stderr
+    code, err, cli_peak = _limited_main("orbit", map_file(STEP_DOWN), str(MAX_LISTED_POINTS - 1))
+    assert code == 0, err
+    assert int(lib.stdout) < 64 * 1024 and cli_peak < 64 * 1024
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

@@ -1,12 +1,13 @@
 """Orbit decomposition, certificates, hitting times, intersection, and the shared point."""
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from strategies import descending_maps, finite_maps, nat_maps
 
 from quasinv import (
     DescribedNatMap,
     FiniteTable,
+    Listing,
     OrbitTooLong,
     check_p_tilde,
     hitting_time,
@@ -409,6 +410,62 @@ def test_orbit_matches_per_point_walk(sm, x):
     assert closed and (res.tail, res.cycle) == (tuple(walk[:mu]), tuple(walk[mu:]))
     listing = res.tail + res.cycle
     assert all(sm(p) == q for p, q in zip(listing, listing[1:] + res.cycle[:1]))
+
+
+# parts as orbit() makes them (tuples, ranges, lists), empty ones included
+_parts = st.lists(
+    st.one_of(
+        st.lists(st.integers(0, 60), max_size=4).map(tuple),
+        st.builds(range, st.integers(0, 60), st.integers(0, 60), st.sampled_from([-3, -1, 1, 2])),
+        st.lists(st.integers(0, 60), max_size=4),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def _listings(draw):
+    if draw(st.booleans()):
+        parts = draw(_parts)
+        return Listing(parts, sum(map(len, parts)))
+    res = orbit(draw(descending_maps), draw(st.integers(0, 10**4)))
+    assume(res.is_finite)
+    return draw(st.sampled_from([res.tail, res.cycle]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_listings(), st.data())
+def test_listing_acts_as_its_tuple(listing, data):
+    t = tuple(listing)
+    n = len(t)
+    assert len(listing) == n and list(iter(listing)) == list(t) and repr(listing) == repr(t)
+    for i in data.draw(st.lists(st.integers(-n - 2, n + 1), max_size=6)):
+        if -n <= i < n:
+            assert listing[i] == t[i]
+        else:
+            with pytest.raises(IndexError):
+                listing[i]
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    step = st.none() | st.sampled_from((-3, -2, -1, 1, 2, 3))
+    for s in data.draw(st.lists(st.builds(slice, bound, bound, step), max_size=6)):
+        got = listing[s]
+        assert type(got) is tuple and got == t[s]
+    same = Listing([t], n)  # the same points in other parts
+    assert listing == t and t == listing and listing == same and same == listing
+    assert not listing != t and not t != listing
+    assert listing != list(t) and list(t) != listing and not listing == list(t)
+    longer = t + (0,)
+    assert listing != longer and longer != listing
+    if n:
+        changed = t[:-1] + (t[-1] + 1,)
+        assert listing != changed and changed != listing
+        assert min(listing) == min(t)
+    assert hash(listing) == hash(t)
+    for total in (listing + t, t + listing, listing + listing, listing + same):
+        assert type(total) is tuple and total == t + t
+    probes = data.draw(st.lists(st.integers(-1, 6000), max_size=4))
+    for y in probes + list(t[:2]) + list(t[-2:]):
+        assert (y in listing) == (y in t)
 
 
 # 20, 19, ..., 6 -> 5 -> 0 -> 0: the table agrees with the shift -1 below the
