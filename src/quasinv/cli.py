@@ -108,12 +108,8 @@ def _cmd_orbit(args) -> int:
     if res.is_finite:
         for label, pts in (("finite tail=", res.tail), (" cycle=", res.cycle)):
             out.write(label)
-            parts = pts.parts if isinstance(pts, orbits_mod.Listing) else (pts,)
-            _write_list(out, (
-                list(part[b : b + BLOCK_POINTS])
-                for part in parts
-                for b in range(0, len(part), BLOCK_POINTS)
-            ))
+            blocks = range(0, len(pts), BLOCK_POINTS)
+            _write_list(out, (list(pts[b : b + BLOCK_POINTS]) for b in blocks))
         out.write("\n")
     else:
         cert = res.certificate

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -173,19 +173,19 @@ class Listing(Sequence):
     """A read-only run of points held as the segments that list them, in order.
 
     ``parts`` are sequences of ints (slices of a profile's walked points,
-    ranges, lists), possibly empty, and ``length`` is their total length,
-    taken as given.  A Listing behaves as the tuple of its points: it
-    compares equal to that tuple (never to a list), hashes like it, prints
-    like it, and ``+`` and slices give tuples.  ``len`` is O(1) and
+    ranges, lists), possibly empty, kept in a private tuple, and ``length``
+    is their total length, taken as given.  A Listing behaves as the tuple
+    of its points: it compares equal to that tuple (never to a list), hashes
+    like it, prints like it, and ``+`` and slices give tuples.  ``len`` is O(1) and
     iteration chains the parts; an index or a slice finds its parts by
     bisection over the parts' ends, summed on first use, and a slice reads
     only the parts it covers.
     """
 
-    __slots__ = ("parts", "_len", "_ends")
+    __slots__ = ("_parts", "_len", "_ends")
 
-    def __init__(self, parts: Sequence[Sequence[int]], length: int):
-        self.parts = parts
+    def __init__(self, parts: Iterable[Sequence[int]], length: int):
+        self._parts = tuple(parts)
         self._len = length
         self._ends: list[int] | None = None  # each part's end index, once asked for
 
@@ -193,11 +193,11 @@ class Listing(Sequence):
         return self._len
 
     def __iter__(self) -> Iterator[int]:
-        return itertools.chain.from_iterable(self.parts)
+        return itertools.chain.from_iterable(self._parts)
 
     def _part_ends(self) -> list[int]:
         if self._ends is None:
-            self._ends = list(itertools.accumulate(map(len, self.parts)))
+            self._ends = list(itertools.accumulate(map(len, self._parts)))
         return self._ends
 
     def __getitem__(self, i):
@@ -215,7 +215,7 @@ class Listing(Sequence):
             raise IndexError("Listing index out of range")
         ends = self._part_ends()
         j = bisect_right(ends, i)  # the first part ending after i, so not empty
-        return self.parts[j][i - ends[j]]  # counted back from the part's end
+        return self._parts[j][i - ends[j]]  # counted back from the part's end
 
     def _take(self, r: range) -> tuple[int, ...]:
         """The points at the indexes of ``r``, a nonempty ascending range."""
@@ -223,7 +223,7 @@ class Listing(Sequence):
         pieces = []
         i, j = r.start, bisect_right(ends, r.start)
         while i < r.stop:
-            part, end = self.parts[j], ends[j]
+            part, end = self._parts[j], ends[j]
             begin, stop = end - len(part), min(end, r.stop)
             pieces.append(part[i - begin : stop - begin : step])
             i += len(range(i, stop, step)) * step
@@ -624,8 +624,8 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
         while cut >= len(parts[i]):
             cut -= len(parts[i])
             i += 1
-        tail = Listing([*parts[:i], parts[i][:cut]], mu)
-        return OrbitResult(tail=tail, cycle=Listing([parts[i][cut:], *parts[i + 1 :]], n - mu))
+        tail = Listing((*parts[:i], parts[i][:cut]), mu)
+        return OrbitResult(tail=tail, cycle=Listing((parts[i][cut:], *parts[i + 1 :]), n - mu))
     tail = prof.tail_run
     cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
     cert.validate(sm)
