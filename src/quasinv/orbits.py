@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -170,70 +169,41 @@ class DriftCertificate:
 
 
 class Listing(Sequence):
-    """A read-only run of points held as the segments that list them, in order.
+    """A read-only window of a finite orbit's steps: the points of
+    ``profile`` at steps ``lo``, ..., ``hi - 1``, listed only when read.
 
-    ``parts`` are sequences of ints (slices of a profile's walked points,
-    ranges, lists), possibly empty, kept in a private tuple, and ``length``
-    is their total length, taken as given.  A Listing behaves as the tuple
-    of its points: it compares equal to that tuple (never to a list), hashes
-    like it, prints like it, and ``+`` and slices give tuples.  ``len`` is O(1) and
-    iteration chains the parts; an index or a slice finds its parts by
-    bisection over the parts' ends, summed on first use, and a slice reads
-    only the parts it covers.
+    A Listing behaves as the tuple of its points: it compares equal to that
+    tuple (never to a list), hashes like it, prints like it, and ``+`` and
+    slices give tuples.  ``len`` is O(1), an index is
+    ``OrbitProfile.point_at``, and iteration and slices read the profile's
+    segments over the window (``OrbitProfile._parts``), so a one-phase run
+    stays a range and a longer run lists only the steps read.
     """
 
-    __slots__ = ("_parts", "_len", "_ends")
+    __slots__ = ("_prof", "_lo", "_hi")
 
-    def __init__(self, parts: Iterable[Sequence[int]], length: int):
-        self._parts = tuple(parts)
-        self._len = length
-        self._ends: list[int] | None = None  # each part's end index, once asked for
+    def __init__(self, profile: OrbitProfile, lo: int, hi: int):
+        self._prof, self._lo, self._hi = profile, lo, hi
 
     def __len__(self) -> int:
-        return self._len
+        return self._hi - self._lo
 
     def __iter__(self) -> Iterator[int]:
-        return itertools.chain.from_iterable(self._parts)
-
-    def _part_ends(self) -> list[int]:
-        if self._ends is None:
-            self._ends = list(itertools.accumulate(map(len, self._parts)))
-        return self._ends
+        return itertools.chain.from_iterable(self._prof._parts(self._lo, self._hi))
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            r = range(self._len)[i]  # the indexes the slice takes, in its order
-            if not r:
-                return ()
-            if r.step < 0:
-                return self._take(r[::-1])[::-1]
-            return self._take(r)
-        i = operator.index(i)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("Listing index out of range")
-        ends = self._part_ends()
-        j = bisect_right(ends, i)  # the first part ending after i, so not empty
-        return self._parts[j][i - ends[j]]  # counted back from the part's end
-
-    def _take(self, r: range) -> tuple[int, ...]:
-        """The points at the indexes of ``r``, a nonempty ascending range."""
-        ends, step = self._part_ends(), r.step
-        pieces = []
-        i, j = r.start, bisect_right(ends, r.start)
-        while i < r.stop:
-            part, end = self._parts[j], ends[j]
-            begin, stop = end - len(part), min(end, r.stop)
-            pieces.append(part[i - begin : stop - begin : step])
-            i += len(range(i, stop, step)) * step
-            j += 1
-        return tuple(itertools.chain.from_iterable(pieces))
+        steps = range(self._lo, self._hi)[i]  # a step, or a slice's steps in its order
+        if isinstance(steps, int):
+            return self._prof.point_at(steps)
+        if not steps:
+            return ()
+        lo, hi = sorted((steps[0], steps[-1]))
+        return tuple(itertools.chain.from_iterable(self._prof._parts(lo, hi + 1)))[:: steps.step]
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, Listing)):
             return NotImplemented
-        return self._len == len(other) and all(map(operator.eq, self, other))
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def __hash__(self) -> int:
         return hash(tuple(self))
@@ -256,12 +226,11 @@ class Listing(Sequence):
 class OrbitResult:
     """Either an exact tail/cycle decomposition or an infinitude certificate.
 
-    ``tail`` and ``cycle`` are tuples when the orbit's profile has no runs,
-    and Listings over its segments otherwise; either compares equal to the
-    tuple of its points."""
+    ``tail`` and ``cycle`` are Listings, the windows of the orbit's steps
+    before ``mu`` and from it; each compares equal to the tuple of its points."""
 
-    tail: Sequence[int] | None = None
-    cycle: Sequence[int] | None = None
+    tail: Listing | None = None
+    cycle: Listing | None = None
     certificate: DriftCertificate | None = None
 
     @property
@@ -272,7 +241,7 @@ class OrbitResult:
 # Listing an orbit point by point stops above this many points.  At the
 # limit, points() of prefix [0], shift -1 peaks at 0.41 GB resident (VmHWM,
 # Python 3.11): the points and the one tuple that holds them, filled from
-# ranges.  orbit() holds the segments, not the points (19 MB there), but
+# ranges.  orbit() lists no point, whatever its runs (19 MB there), but
 # keeps the limit: its callers may iterate every point.
 MAX_LISTED_POINTS = 10**7
 
@@ -306,18 +275,17 @@ class _Run(NamedTuple):
             return None
         return q + j * len(ph.sums)
 
-    def listed(self, count: int) -> Sequence[int]:
-        """The run's first ``count`` points in step order.  A run of one
-        phase gives them as a range, so a listing copies them only into its
-        result; a longer period interleaves its phases in a list."""
-        sums, drift = self.phases.sums, self.phases.drift
-        if len(sums) == 1:
-            return range(self.v0, self.v0 + count * drift, drift)
-        period = len(sums)
-        out = [0] * count
-        for q, s in enumerate(sums):
-            n = len(range(q, count, period))
-            out[q::period] = range(self.v0 + s, self.v0 + s + n * drift, drift)
+    def listed(self, a: int, b: int) -> Sequence[int]:
+        """The run's points at steps a, ..., b - 1.  A run of one phase gives
+        them as a range, so a listing copies them only into its result; a
+        longer period interleaves its phases in a list."""
+        drift, period = self.phases.drift, len(self.phases.sums)
+        if period == 1:
+            return range(self.v0 + a * drift, self.v0 + b * drift, drift)
+        out = [0] * (b - a)
+        for q in range(period):  # the steps a + q, a + q + period, ...
+            top = self.at(a + q)
+            out[q::period] = range(top, top + len(range(q, b - a, period)) * drift, drift)
         return out
 
 
@@ -468,28 +436,28 @@ class OrbitProfile:
             n = self.length
         elif n <= len(self.seq) and (not self.runs or n <= self.runs[0].base):
             return self.seq[:n]
-        return tuple(itertools.chain.from_iterable(self._parts(n)))
+        return tuple(itertools.chain.from_iterable(self._parts(0, n)))
 
-    def _parts(self, n: int) -> list[Sequence[int]]:
-        """The first n points in step order as segments: the walked points
-        before each run (a slice of ``seq``, perhaps empty), that run's
-        listed points, and so on, ending with a slice of ``seq``.  So part
-        2i + 1 is run i's.
+    def _parts(self, lo: int, hi: int) -> list[Sequence[int]]:
+        """The points at steps lo, ..., hi - 1 in step order as segments:
+        slices of ``seq`` and the runs' listed steps (``_Run.listed``), some
+        perhaps empty.
 
         Raises OrbitTooLong above MAX_LISTED_POINTS points, before listing.
         """
-        if n > MAX_LISTED_POINTS:
-            raise OrbitTooLong(self.start, n, MAX_LISTED_POINTS)
+        if hi - lo > MAX_LISTED_POINTS:
+            raise OrbitTooLong(self.start, hi - lo, MAX_LISTED_POINTS)
         parts: list[Sequence[int]] = []
-        k = walked = 0  # points listed so far, and how many of them were walked
+        k = walked = 0  # the step reached, and how many walked points lie before it
         for run in self.runs:
-            if run.base >= n:
+            if run.base >= hi:
                 break
-            parts.append(self.seq[walked : walked + run.base - k])
+            parts.append(self.seq[walked + max(lo - k, 0) : walked + run.base - k])
             walked += run.base - k
-            k = min(n, run.base + run.count) if run.count is not None else n
-            parts.append(run.listed(k - run.base))
-        parts.append(self.seq[walked : walked + n - k])
+            k = hi if run.count is None else min(hi, run.base + run.count)
+            if lo < k:
+                parts.append(run.listed(max(lo - run.base, 0), k - run.base))
+        parts.append(self.seq[walked + max(lo - k, 0) : walked + hi - k])
         return parts
 
     def starts(self) -> Iterator[int]:
@@ -556,12 +524,12 @@ def _check_walked_links(sm: SelfMap, pts: Sequence[int], nxt: int) -> None:
     assert list(map(sm, pts)) == [*pts[1:], nxt]
 
 
-def _check_run_links(sm: DescribedNatMap, run: _Run, part: Sequence[int], nxt: int) -> None:
-    """Check that each point of ``part``, the run's listed points, maps to
-    the one after it and the last one to ``nxt``: the links inside the run
-    once per phase, by the lemma in ``orbit``, and the last link by ``sm``."""
+def _check_run_links(sm: DescribedNatMap, run: _Run, nxt: int) -> None:
+    """Check that each of the run's ``count`` points maps to the one after it
+    and the last one to ``nxt``: the links inside the run once per phase, by
+    the lemma in ``orbit``, and the last link by ``sm``."""
     sums, drift = run.phases.sums, run.phases.drift
-    period, count = len(sums), len(part)
+    period, count = len(sums), run.count
     assert drift % sm.modulus == 0
     for q in range(min(period, count - 1)):
         a = run.v0 + sums[q]  # the phase's first interior point
@@ -569,17 +537,19 @@ def _check_run_links(sm: DescribedNatMap, run: _Run, part: Sequence[int], nxt: i
         step = (sums[q + 1] if q + 1 < period else drift) - sums[q]
         assert min(a, b) >= sm.prefix_len
         assert sm(a) == a + step and sm(b) == b + step
-    assert sm(part[-1]) == nxt
+    assert sm(run.at(count - 1)) == nxt
 
 
 def orbit(sm: SelfMap, x: int) -> OrbitResult:
     """Tail/cycle decomposition of the orbit of x, or an infinitude certificate.
 
-    Every link of a finite orbit is checked against the map, so the listing
-    raises OrbitTooLong above MAX_LISTED_POINTS points, before any point is
-    listed.  Each kind of link is checked its own way:
+    Every link of a finite orbit is checked against the map, so the result
+    raises OrbitTooLong above MAX_LISTED_POINTS points.  The profile's
+    segments are walked in step order, as ``OrbitProfile._parts`` reads
+    them, and each kind of link is checked its own way:
 
-    * walked points (``seq``): ``sm`` at each must give the point after it;
+    * walked points (slices of ``seq``): ``sm`` at each must give the point
+      after it;
     * the links inside a run, once per phase, by the lemma below;
     * the link from each segment's last point into the next segment, and the
       link from the orbit's last point back to the cycle's first, by ``sm``.
@@ -591,45 +561,34 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     shift to each, so sm(p) - p is the same for all of them.  The run's point
     after each lies one fixed distance on (sums[q + 1] - sums[q], or drift -
     sums[q] in the last phase), so sm at the phase's first interior point
-    proves every link of the phase; the last is evaluated too.  The run's
+    proves every link of the phase; the last is evaluated too.  A run's
     listing (``_Run.listed``) is those very points, so every listed link is
     verified.
 
-    A profile with no runs is one walked segment, sliced at ``mu`` into
-    tuples.  Otherwise the segments (``OrbitProfile._parts``) are cut at
-    ``mu``, and ``tail`` and ``cycle`` are two Listings over them, so the
-    result costs O(segments), not O(points); a one-phase run stays a range.
+    ``tail`` and ``cycle`` are the Listings of steps [0, mu) and [mu, n), so
+    the result costs O(segments) and lists no point.
     """
     prof = orbit_profile(sm, x)
-    if prof.finite and not prof.runs:
-        pts = prof.seq
-        _check_walked_links(sm, pts, pts[prof.mu])
-        return OrbitResult(tail=pts[: prof.mu], cycle=pts[prof.mu :])
-    if prof.finite:
-        n, mu = prof.length, prof.mu
-        parts = prof._parts(n)
-        # every walked point and run step is in the parts once
-        assert len(prof.seq) + sum(map(len, parts[1::2])) == n
-        nxt = prof.point_at(mu)  # where each part's last point maps, last part first
-        for i in range(len(parts) - 1, -1, -1):
-            part = parts[i]
-            if not part:
-                continue
-            if i % 2:
-                _check_run_links(sm, prof.runs[i // 2], part, nxt)
-            else:
-                _check_walked_links(sm, part, nxt)
-            nxt = part[0]
-        i, cut = 0, mu  # the cycle starts at index cut of part i
-        while cut >= len(parts[i]):
-            cut -= len(parts[i])
-            i += 1
-        tail = Listing((*parts[:i], parts[i][:cut]), mu)
-        return OrbitResult(tail=tail, cycle=Listing((parts[i][cut:], *parts[i + 1 :]), n - mu))
-    tail = prof.tail_run
-    cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
-    cert.validate(sm)
-    return OrbitResult(certificate=cert)
+    if not prof.finite:
+        tail = prof.tail_run
+        cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
+        cert.validate(sm)
+        return OrbitResult(certificate=cert)
+    n, mu, seq = prof.length, prof.mu, prof.seq
+    if n > MAX_LISTED_POINTS:
+        raise OrbitTooLong(x, n, MAX_LISTED_POINTS)
+    k = walked = 0  # the step reached, and how many walked points lie before it
+    for run in prof.runs:
+        if run.base > k:
+            _check_walked_links(sm, seq[walked : walked + run.base - k], run.v0)
+        walked += run.base - k
+        k = run.base + run.count
+        _check_run_links(sm, run, prof.point_at(k))
+    # the walked points left are the steps left: every step is in a segment once
+    assert len(seq) - walked == n - k
+    if walked < len(seq):
+        _check_walked_links(sm, seq[walked:], prof.point_at(mu))
+    return OrbitResult(tail=Listing(prof, 0, mu), cycle=Listing(prof, mu, n))
 
 
 def hitting_time(sm: SelfMap, x: int, y: int) -> int | None:

@@ -496,14 +496,18 @@ def solve_P1(sm: SelfMap) -> Optional[PSolution]:
 def has_full_orbit(sm: SelfMap) -> Optional[int]:
     """A point whose forward orbit is the whole domain, or None.
 
-    On the naturals such a start must be the unique point without preimage,
-    so candidates are pinned down exactly and then verified by coverage.
+    Every other point of a full orbit has its predecessor on it as a
+    preimage, so the start must be the unique point without preimage, and
+    candidates are pinned down exactly and then verified by coverage.  A
+    table with no such point is a permutation, whose full orbit, if any, is
+    one cycle through 0.
     """
     if isinstance(sm, FiniteTable):
-        for a in range(sm.size):
-            if orbit_profile(sm, a).length == sm.size:
-                return a
-        return None
+        unhit = set(range(sm.size)).difference(sm.table)
+        if len(unhit) > 1:
+            return None
+        start = min(unhit, default=0)
+        return start if orbit_profile(sm, start).length == sm.size else None
     if not all_orbits_infinite(sm):
         return None
     m, n0 = sm.modulus, sm.prefix_len

@@ -360,12 +360,12 @@ def test_every_subcommand_runs_in_bounded_memory(map_file):
     assert exits[("solve", huge_prefix, "--p2")] == 0
 
 
-# Lists the orbit of 10^7 - 1 under STEP_DOWN, the most points orbit() lists,
-# then prints the process's peak resident set in kB.
+# Lists the orbit of a start under a descending map, checks its length,
+# cycle and last tail point, then prints the process's peak resident set in kB.
 _LIBRARY_ORBIT = """
 from quasinv import DescribedNatMap, orbit
-res = orbit(DescribedNatMap((0,), 1, (-1,)), 10**7 - 1)
-assert len(res.tail) == 10**7 - 1 and res.cycle == (0,)
+res = orbit(DescribedNatMap{map}, {start})
+assert (len(res.tail), res.cycle, res.tail[-1]) == {expected}, res
 with open("/proc/self/status") as status:
     print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 """
@@ -373,14 +373,22 @@ with open("/proc/self/status") as status:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read from /proc")
 def test_finite_orbit_at_the_listing_limit_stays_small():
-    # orbit() holds the orbit's segments, not its points, so it comes nowhere
-    # near the listing's 0.41 GB; the CLI at this start is held to 128 MB of
-    # address space by the CI step "Finite orbit at the listing limit"
-    lib = subprocess.run(
-        [sys.executable, "-c", _LIBRARY_ORBIT], capture_output=True, text=True, timeout=300
-    )
-    assert lib.returncode == 0, lib.stderr
-    assert int(lib.stdout) < 64 * 1024
+    # orbit() lists no point of either orbit, so it comes nowhere near the
+    # listing's 0.41 GB; the CLI at these starts is held to 128 MB of address
+    # space by the CI step "Finite orbit at the listing limit"
+    cases = [
+        # step down by one: 10^7 points, the most orbit() lists
+        (((0,), 1, (-1,)), 10**7 - 1, (10**7 - 1, (0,), 1)),
+        # odd points step down by three, even ones by one: one two-phase run
+        (((0, 0, 1, 2, 3), 2, (-1, -3)), 9999999, (5000001, (0,), 1)),
+    ]
+    for sm, start, expected in cases:
+        script = _LIBRARY_ORBIT.format(map=sm, start=start, expected=expected)
+        lib = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert lib.returncode == 0, lib.stderr
+        assert int(lib.stdout) < 64 * 1024, (sm, lib.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")

@@ -412,32 +412,23 @@ def test_orbit_matches_per_point_walk(sm, x):
     assert all(sm(p) == q for p, q in zip(listing, listing[1:] + res.cycle[:1]))
 
 
-# parts as orbit() makes them (tuples, ranges, lists), empty ones included
-_parts = st.lists(
-    st.one_of(
-        st.lists(st.integers(0, 60), max_size=4).map(tuple),
-        st.builds(range, st.integers(0, 60), st.integers(0, 60), st.sampled_from([-3, -1, 1, 2])),
-        st.lists(st.integers(0, 60), max_size=4),
-    ),
-    max_size=6,
-)
-
-
 @st.composite
-def _listings(draw):
-    if draw(st.booleans()):
-        parts = draw(_parts)
-        return Listing(parts, sum(map(len, parts)))
-    res = orbit(draw(descending_maps), draw(st.integers(0, 10**4)))
-    assume(res.is_finite)
-    return draw(st.sampled_from([res.tail, res.cycle]))
+def _windows(draw):
+    """A finite orbit's profile and a window ``lo <= hi`` of its steps."""
+    prof = orbit_profile(draw(descending_maps), draw(st.integers(0, 10**4)))
+    assume(prof.finite)
+    lo = draw(st.integers(0, prof.length))
+    return prof, lo, draw(st.integers(lo, prof.length))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_listings(), st.data())
-def test_listing_acts_as_its_tuple(listing, data):
+@given(_windows(), st.data())
+def test_listing_acts_as_its_tuple(window, data):
+    prof, lo, hi = window
+    listing = Listing(prof, lo, hi)
     t = tuple(listing)
     n = len(t)
+    assert t == tuple(map(prof.point_at, range(lo, hi)))
     assert len(listing) == n and list(iter(listing)) == list(t) and repr(listing) == repr(t)
     for i in data.draw(st.lists(st.integers(-n - 2, n + 1), max_size=6)):
         if -n <= i < n:
@@ -450,7 +441,7 @@ def test_listing_acts_as_its_tuple(listing, data):
     for s in data.draw(st.lists(st.builds(slice, bound, bound, step), max_size=6)):
         got = listing[s]
         assert type(got) is tuple and got == t[s]
-    same = Listing([t], n)  # the same points in other parts
+    same = Listing(prof, lo, hi)  # a second Listing over the same window
     assert listing == t and t == listing and listing == same and same == listing
     assert not listing != t and not t != listing
     assert listing != list(t) and list(t) != listing and not listing == list(t)
@@ -475,6 +466,9 @@ DIP = DescribedNatMap((0, 0, 1, 2, 3, 0, 5, 6, 7, 8), 1, (-1,))
 # residues 0 and 1 step down by two, residue 2 by five: a run of drift -2
 # from 30 lists 30, 28, 26, 24, 22, whose links hold at both ends but not at 26
 MIXED_DOWN = DescribedNatMap((0,) * 6, 3, (-2, -2, -5))
+# from 1: 1 walked, 100 down to 3 as a run, then 2 -> 0 -> 2 walked; no link
+# leads into the first point, so only its own link into the run can show it false
+UP_THEN_DOWN = DescribedNatMap((2, 100, 0), 1, (-1,))
 DRIFT_2 = orbits_mod.CyclePhases((0,), (0,), {0: 0}, -2, 3, frozenset({0}))
 
 
@@ -516,6 +510,9 @@ DRIFT_2 = orbits_mod.CyclePhases((0,), (0,), {0: 0}, -2, 3, frozenset({0}))
         # 20, 15, 13 as a run, then 11, 6, 4, 0 walked
         (MIXED_DOWN, 20, lambda run: {"seq": (11, 7, 4, 0)}),
         (MIXED_DOWN, 20, lambda run: {"mu": 5}),
+        (UP_THEN_DOWN, 1, lambda run: {"seq": (7, 2, 0)}),
+        # the run, then 2 -> 2, is run.count + 1 steps
+        (STEP_DOWN3, 10**4 + 1, lambda run: {"length": run.count + 2}),
     ],
     ids=[
         "v0 moved by one modulus",
@@ -526,6 +523,8 @@ DRIFT_2 = orbits_mod.CyclePhases((0,), (0,), {0: 0}, -2, 3, frozenset({0}))
         "changed phase offsets",
         "walked point after a run",
         "closing link back to mu after a run",
+        "walked point before a run",
+        "length past the segments",
     ],
 )
 def test_orbit_rejects_a_corrupt_profile_with_runs(monkeypatch, sm, x, mutate):

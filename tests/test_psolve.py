@@ -35,6 +35,7 @@ from quasinv.orbits import (
     shift_magnitude,
     tail_structure,
 )
+from quasinv.oracle import enumerate_finite_maps
 from quasinv.psolve import (
     SCOPE_ALL,
     SCOPE_INFINITE,
@@ -447,6 +448,24 @@ def test_full_orbit():
     assert has_full_orbit(FiniteTable((1, 2, 0))) == 0
     assert has_full_orbit(FiniteTable((1, 2, 1))) == 0  # tadpole covering everything
     assert has_full_orbit(FiniteTable((0, 1))) is None
+
+
+def _full_orbit_by_every_start(sm):
+    """The first start whose walk visits every point of the table, or None."""
+    for a in range(sm.size):
+        seen, y = set(), a
+        while y not in seen:
+            seen.add(y)
+            y = sm(y)
+        if len(seen) == sm.size:
+            return a
+    return None
+
+
+def test_full_orbit_on_every_small_table():
+    for n in range(1, 6):
+        for sm in enumerate_finite_maps(n):
+            assert has_full_orbit(sm) == _full_orbit_by_every_start(sm), sm.table
 
 
 def test_indivisibility_succ():
