@@ -50,6 +50,8 @@ class CyclePhases(NamedTuple):
     Phase q of the period is at residue ``residues[q]``, at height offset
     ``sums[q]`` from the period's first point (``sums[0] == 0``); a whole
     period changes the height by ``drift``, always a multiple of the modulus.
+    ``min_sum`` and ``max_sum`` are the least and largest offsets of the
+    whole period: its lowest and highest points lie that far from its first.
     """
 
     residues: tuple[int, ...]
@@ -58,6 +60,8 @@ class CyclePhases(NamedTuple):
     drift: int
     modulus: int
     residue_set: frozenset[int]  # the residues, for membership tests
+    min_sum: int
+    max_sum: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,9 @@ def tail_structure(sm: DescribedNatMap) -> TailStructure:
                 ordered = tuple(cyc[i:] + cyc[:i])
                 sums = tuple(itertools.accumulate((sm.shifts[p] for p in ordered[:-1]), initial=0))
                 phase_of = {p: j for j, p in enumerate(ordered)}
-                phases[q] = CyclePhases(ordered, sums, phase_of, drift, m, frozenset(ordered))
+                phases[q] = CyclePhases(
+                    ordered, sums, phase_of, drift, m, frozenset(ordered), min(sums), max(sums)
+                )
                 cycle_of[q] = len(cycles)
                 dist[q] = 0
             cycles.append(phases[min(cyc)])
@@ -293,14 +299,14 @@ def _starts_tail(ph: CyclePhases, x: int, n0: int) -> bool:
     """Does an infinite orbit's tail start at x, a point at or above the
     prefix ``n0`` whose residue lies on the cycle ``ph``?  It does when the
     cycle rises and the run from x never dips below the prefix."""
-    return ph.drift > 0 and x + min(ph.sums) >= n0
+    return ph.drift > 0 and x + ph.min_sum >= n0
 
 
 def _descent_periods(ph: CyclePhases, x: int, n0: int) -> int:
     """How many whole periods a descent from x along the falling cycle
     ``ph`` stays at or above the prefix ``n0``; 0 when it dips below it
     within the first."""
-    low = x + min(ph.sums)
+    low = x + ph.min_sum
     return 0 if low < n0 else (low - n0) // -ph.drift + 1
 
 
@@ -500,7 +506,7 @@ class OrbitProfile:
     def asymptotic_threshold(self) -> int:
         """Every class-covered point at or above this value is in the orbit."""
         assert not self.finite
-        return self.tail_run.v0 + max(self.tail_run.phases.sums)
+        return self.tail_run.v0 + self.tail_run.phases.max_sum
 
     def is_cofinite(self) -> bool:
         if self.finite:
@@ -608,6 +614,30 @@ class OrbitSummary(NamedTuple):
     top: int
 
 
+def _land(
+    sm: DescribedNatMap, phases: tuple[CyclePhases | None, ...], y: int
+) -> tuple[OrbitSummary | None, int | None, int | None]:
+    """One leg of a summary walk, from y: ``(s, None, None)`` when a tail
+    starts at y (``_starts_tail``), s being y's summary; otherwise
+    ``(None, z, top)``, z the next point the walk lands on and top y's
+    largest point before it.  The walk steps to the image, or past a
+    descent's whole periods above the prefix (``_descent_periods``), whose
+    largest point is in its first period."""
+    n0 = len(sm.prefix)
+    if y < n0:
+        return None, sm.prefix[y], y
+    ph = phases[y % sm.modulus]
+    if ph is not None:
+        if _starts_tail(ph, y, n0):
+            top = y + ph.max_sum
+            return OrbitSummary(False, top, ph.residue_set, top), None, None
+        if ph.drift < 0:
+            periods = _descent_periods(ph, y, n0)
+            if periods:
+                return None, y + periods * ph.drift, y + ph.max_sum
+    return None, sm(y), y
+
+
 def orbit_summary(sm: DescribedNatMap, x: int, memo: dict[int, OrbitSummary]) -> OrbitSummary:
     """The summary of the orbit of x, from one walk along its trajectory and
     no profile.
@@ -615,21 +645,32 @@ def orbit_summary(sm: DescribedNatMap, x: int, memo: dict[int, OrbitSummary]) ->
     A point that starts a tail (``_starts_tail``) has that tail's threshold
     and residues, and its top is the threshold; the points of a cycle the
     walk closes are finite, their top the cycle's largest point; any other
-    point has the summary of the next point the walk lands on, with its own
-    top if that is larger.  The walk steps to the image, or past a descent's
-    whole periods above the prefix (``_descent_periods``), whose largest
-    point is in its first period; so, like a profile's walk, it lands on a
-    number of points bounded by the map and not by the start.  Landing
-    points follow one another by a fixed rule, so a walk that closes lands
-    on a point twice, and between the two it passed every point of the cycle.
+    point has the summary of the next point the walk lands on (``_land``),
+    with its own top if that is larger.  Like a profile's walk, the walk
+    lands on a number of points bounded by the map and not by the start.
+    Landing points follow one another by a fixed rule, so a walk that closes
+    lands on a point twice, and between the two it passed every point of the
+    cycle.
 
     The walk stops at a point already in ``memo`` and enters every point it
     landed on there, so across calls sharing one memo each is walked once.
+    The memo is to be filled by these walks only (here and in
+    ``orbit_summaries``): then the next landing of every point in it is in
+    it too, unless a tail starts at that point.
     """
     s = memo.get(x)
     if s is not None:
         return s
-    phases, n0, m = tail_structure(sm).phases, sm.prefix_len, sm.modulus
+    return _walk_summary(sm, tail_structure(sm).phases, x, memo)
+
+
+def _walk_summary(
+    sm: DescribedNatMap,
+    phases: tuple[CyclePhases | None, ...],
+    x: int,
+    memo: dict[int, OrbitSummary],
+) -> OrbitSummary:
+    """``orbit_summary``'s walk from x, a point not in ``memo``."""
     path: list[int] = []  # the points landed on
     tops: list[int] = []  # each one's largest point before the next landing
     on_path: dict[int, int] = {}
@@ -642,25 +683,49 @@ def orbit_summary(sm: DescribedNatMap, x: int, memo: dict[int, OrbitSummary]) ->
                 memo[p] = s
             del path[i:], tops[i:]
             break
-        ph = phases[y % m] if y >= n0 else None
-        if ph is not None and _starts_tail(ph, y, n0):
-            top = y + max(ph.sums)
-            s = memo[y] = OrbitSummary(False, top, ph.residue_set, top)
+        s, z, top = _land(sm, phases, y)
+        if s is not None:
+            memo[y] = s
             break
         on_path[y] = len(path)
         path.append(y)
-        periods = _descent_periods(ph, y, n0) if ph is not None and ph.drift < 0 else 0
-        if periods:
-            tops.append(y + max(ph.sums))
-            y += periods * ph.drift
-        else:
-            tops.append(y)
-            y = sm(y)
+        tops.append(top)
+        y = z
     for p, top in zip(reversed(path), reversed(tops)):
         if top > s.top:
-            s = s._replace(top=top)
+            s = OrbitSummary(s.finite, s.threshold, s.residues, top)
         memo[p] = s
     return memo[x]
+
+
+def orbit_summaries(
+    sm: DescribedNatMap, hi: int, memo: dict[int, OrbitSummary]
+) -> Iterator[OrbitSummary]:
+    """The summaries of the orbits of 0, 1, ..., hi - 1, in that order and
+    as read, in one pass that shares ``memo``; each equals
+    ``orbit_summary(sm, x, memo)``.
+
+    A point not yet in the memo takes one leg (``_land``).  When its landing
+    z is in the memo, the point is not on z's cycle of landings (all of
+    which the memo would hold), so its summary is z's, with its own top if
+    that is larger, as ``orbit_summary``'s walk would find.  In increasing
+    order a descent lands below its start, so z is nearly always there; the
+    general walk runs only from a point whose landing is not yet summarized,
+    such as a prefix point that maps upward or to itself.
+    """
+    phases = tail_structure(sm).phases
+    for x in range(hi):
+        s = memo.get(x)
+        if s is None:
+            s, z, top = _land(sm, phases, x)
+            if s is None:
+                s = memo.get(z)
+                if s is None:
+                    s = _walk_summary(sm, phases, x, memo)
+                elif top > s.top:
+                    s = OrbitSummary(s.finite, s.threshold, s.residues, top)
+            memo[x] = s
+        yield s
 
 
 # ---------------------------------------------------------------------------
@@ -800,15 +865,16 @@ def p_tilde_witness(sm: SelfMap) -> tuple[int, int] | None:
 
 def least_finite_point(sm: DescribedNatMap, memo: dict[int, OrbitSummary]) -> int | None:
     """The least point whose orbit is finite, or None when every orbit is
-    infinite, read from orbit summaries that share ``memo``.
+    infinite, read from one pass of orbit summaries (``orbit_summaries``)
+    that shares ``memo`` and stops at the first finite point.
 
     It lies at most one residue period above the lock height: any higher
     point either locks immediately onto a positive cycle (infinite) or
     descends through that window, so a finite orbit from above passes
     through a window point with a finite orbit.
     """
-    bound = lock_height(sm) + sm.modulus
-    return next((x for x in range(bound + 1) if orbit_summary(sm, x, memo).finite), None)
+    summaries = orbit_summaries(sm, lock_height(sm) + sm.modulus + 1, memo)
+    return next((x for x, s in enumerate(summaries) if s.finite), None)
 
 
 @lru_cache(maxsize=VERDICT_CACHE)

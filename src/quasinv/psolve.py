@@ -33,7 +33,7 @@ from .orbits import (
     least_finite_point,
     lock_height,
     orbit_profile,
-    orbit_summary,
+    orbit_summaries,
     shift_magnitude,
     tail_structure,
     xi,
@@ -262,7 +262,8 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
         x0 = rep_at(r, rep_base, m)
         return (x0, x0 + far)
 
-    # orbit summaries, from walks that share one memo for this call only
+    # orbit summaries, from one pass over the points in increasing order
+    # (orbit_summaries) with one memo for this call only
     memo: dict[int, OrbitSummary] = {}
     pos_cycles = ts.positive_cycles()
     pos_residues = frozenset()
@@ -342,7 +343,7 @@ def _described_total_order_witness(sm: DescribedNatMap, scope: str) -> Optional[
 
     # window: transitional pairs and everything below the deep band.  The
     # points below deep stand for the whole window (see the docstring).
-    lows = [(x, orbit_summary(sm, x, memo)) for x in range(deep)]
+    lows = list(enumerate(orbit_summaries(sm, deep, memo)))
     w_final = max([w_final] + [s.threshold for _, s in lows if not s.finite])
     lows = [(x, s) for x, s in lows if scope == SCOPE_ALL or not s.finite]
 

@@ -26,6 +26,7 @@ from quasinv.orbits import (
     least_finite_point,
     lock_height,
     orbit_profile,
+    orbit_summaries,
     orbit_summary,
     p_tilde_witness,
     tail_structure,
@@ -317,6 +318,35 @@ def test_orbit_summary_matches_profile(sm, window):
             assert s.residues == prof.tail_run.phases.residue_set
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(nat_maps, descending_maps),
+    st.integers(0, 60),
+    st.lists(st.integers(0, 80), max_size=6),
+)
+@example(DescribedNatMap((0, 1, 2), 1, (1,)), 10, [])  # fixed prefix points
+@example(DescribedNatMap((0, 45, 1), 2, (-1, -3)), 10, [])  # 1 lands above the window
+@example(DescribedNatMap((1, 0), 2, (1, -1)), 20, [])  # a zero-drift residue cycle
+@example(DescribedNatMap((3, 0, 40, 1), 2, (-2, 1)), 30, [25, 7, 2])  # memo filled out of order
+def test_orbit_summaries_match_per_point(sm, hi, prefill):
+    # the one-pass reader gives every point the summary a per-point walk
+    # with the same memo gives it, and leaves the memo as those walks do
+    memo = {}
+    for x in prefill:
+        orbit_summary(sm, x, memo)
+    ref = dict(memo)
+    want = [orbit_summary(sm, x, ref) for x in range(hi)]
+    assert list(orbit_summaries(sm, hi, memo)) == want
+    assert memo == ref
+
+
+def test_least_finite_point_stops_at_the_first_finite_point():
+    # 0 is fixed, so the pass reads no point past it
+    memo = {}
+    assert least_finite_point(ZERO_FIX, memo) == 0
+    assert list(memo) == [0]
+
+
 STEP_DOWN = DescribedNatMap((0,), 1, (-1,))
 STEP_DOWN3 = DescribedNatMap((0, 1, 2), 3, (-3, -3, -3))
 
@@ -469,7 +499,7 @@ MIXED_DOWN = DescribedNatMap((0,) * 6, 3, (-2, -2, -5))
 # from 1: 1 walked, 100 down to 3 as a run, then 2 -> 0 -> 2 walked; no link
 # leads into the first point, so only its own link into the run can show it false
 UP_THEN_DOWN = DescribedNatMap((2, 100, 0), 1, (-1,))
-DRIFT_2 = orbits_mod.CyclePhases((0,), (0,), {0: 0}, -2, 3, frozenset({0}))
+DRIFT_2 = orbits_mod.CyclePhases((0,), (0,), {0: 0}, -2, 3, frozenset({0}), 0, 0)
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,13 @@ def _per_point_witness(sm, scope):
 @example(DescribedNatMap((4, 99, 1), 2, (2, -2)))
 @example(DescribedNatMap((2, 4999, 0, 7), 3, (-4, 3, -4)))
 @example(DescribedNatMap((0, 4, 0), 1, (1,)))  # the first pair reaches the upper half of [0, deep)
+# the benchmark's drift-period maps: fixed residues falling by k*m, one rising
+# by m, under an identity prefix of length max(k*m), for periods 105 to 1260
+@example(DescribedNatMap(tuple(range(21)), 3, (-15, -21, 3)))
+@example(DescribedNatMap(tuple(range(20)), 4, (-12, -16, -20, 4)))
+@example(DescribedNatMap(tuple(range(28)), 4, (-16, -20, -28, 4)))
+@example(DescribedNatMap(tuple(range(32)), 4, (-20, -28, -32, 4)))
+@example(DescribedNatMap(tuple(range(36)), 4, (-20, -28, -36, 4)))
 def test_decider_matches_per_point_reference(sm):
     # the per-run window, without the mid-range stage, names the same first
     # pair as the point-by-point reading in both scopes
