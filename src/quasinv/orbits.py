@@ -16,12 +16,16 @@ arithmetic on those cycles.
 ``xi`` minimizes over the orbits' common segment starts and lists no orbit,
 so shared-point queries answer at any start value; only listings raise
 OrbitTooLong.
+
+A finite table is decomposed once (``TableGraph``): every point's cycle,
+depth and entry, and an O(1) reachability test; its orbit queries read that.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,7 +39,11 @@ from .selfmap import DescribedNatMap, FiniteTable, SelfMap
 # the theorem suite at its defaults ("suite") and one repetition of the
 # "queries" workload, which asks its battery about 400 maps twice.
 TAIL_STRUCTURE_CACHE = 1024  # maps: 98 in the suite, 400 per queries repetition
-PROFILE_CACHE = 32768  # (map, start) pairs: 18,144 in the suite, about 6.5k per queries repetition
+TABLE_GRAPH_CACHE = 4096  # finite tables: 3,413 in the suite (every table with n <= 5), none in queries
+# (map, start) pairs.  A described map's entry holds a walked profile, a
+# table's an O(1) view over its TableGraph, so a large table costs its graph
+# once, not a listing per start.
+PROFILE_CACHE = 32768  # 18,129 in the suite (16,739 of them tables), about 6.5k per queries repetition
 VERDICT_CACHE = 1024  # maps asked all_orbits_infinite: 98 in the suite, 400 per queries repetition
 
 # ---------------------------------------------------------------------------
@@ -148,6 +156,119 @@ def lock_height(sm: DescribedNatMap) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Functional graph of a finite table
+# ---------------------------------------------------------------------------
+
+
+class TableGraph:
+    """The functional graph of a finite table, decomposed once in O(n).
+
+    Every point x leads to one cycle: ``comp[x]`` numbers it, ``depth[x]``
+    counts the steps to reach it (0 on the cycle), and ``pos[x]`` is the
+    index on the cycle of its entry point, the first cycle point reached.
+    ``cycles[c]`` lists cycle c in step order twice over, so the points of
+    up to one period from any of its points are one slice; x's entry point
+    is ``cycles[comp[x]][pos[x]]``.  The points off the cycles form an
+    in-forest whose roots are the cycle points (a point's parent is its
+    image).  ``pre`` and ``post`` number it so that every subtree is an
+    interval, as a depth-first search would: y is x or lies on x's way to
+    its cycle exactly when ``pre[y] <= pre[x] < post[y]`` (Tarjan 1972,
+    "Depth-first search and linear graph algorithms").  So x reaches y iff
+    both lie in one component and y is on its cycle or on x's way there, an
+    O(1) test.
+    """
+
+    __slots__ = ("table", "comp", "depth", "pos", "pre", "post", "cycles")
+
+    def __init__(self, table: tuple[int, ...]):
+        n = len(table)
+        comp, pos, depth, cycles = [-1] * n, [0] * n, [0] * n, []
+        walked = [-1] * n  # the start of the walk that met each point
+        for s in range(n):
+            walk, x = [], s
+            while walked[x] < 0:
+                walked[x] = s
+                walk.append(x)
+                x = table[x]
+            if walked[x] == s:  # the walk closed a new cycle at x
+                i = walk.index(x)
+                cyc = walk[i:]
+                for j, p in enumerate(cyc):
+                    comp[p], pos[p] = len(cycles), j
+                cycles.append(tuple(cyc + cyc))
+                del walk[i:]
+            for p in reversed(walk):  # off the cycle: each from its image
+                q = table[p]
+                comp[p], pos[p], depth[p] = comp[q], pos[q], depth[q] + 1
+        # subtree sizes, deepest points first; then each subtree's interval,
+        # shallowest first: a root takes the next free block, a point the
+        # next free block inside its parent's
+        by_depth = sorted(range(n), key=depth.__getitem__)
+        size = [1] * n
+        for x in reversed(by_depth):
+            if depth[x]:
+                size[table[x]] += size[x]
+        pre, free, clock = [0] * n, [0] * n, 0
+        for x in by_depth:
+            if depth[x]:
+                pre[x] = free[table[x]]
+                free[table[x]] += size[x]
+            else:
+                pre[x] = clock
+                clock += size[x]
+            free[x] = pre[x] + 1
+        # each entry lies in [0, n], so the narrowest unsigned array holds them
+        code = "B" if n < 1 << 8 else "H" if n < 1 << 16 else "L"
+        self.table, self.cycles = table, tuple(cycles)
+        self.comp, self.depth, self.pos = array(code, comp), array(code, depth), array(code, pos)
+        self.pre = array(code, pre)
+        self.post = array(code, map(operator.add, pre, size))
+
+    def check(self, x: int) -> int:
+        """x itself, or OutOfDomain when it is no point of the table."""
+        if not 0 <= x < len(self.table):
+            raise OutOfDomain(f"{x} is outside [0, {len(self.table)})")
+        return x
+
+    def period(self, x: int) -> int:
+        """The length of the cycle x leads to."""
+        return len(self.cycles[self.comp[x]]) // 2
+
+    def hitting(self, x: int, y: int) -> int | None:
+        """Least k with iterate(x, k) == y, or None; x must be a point, y may
+        be any integer (one outside the table, negative or not, is on no
+        orbit)."""
+        if not 0 <= y < len(self.table):
+            return None
+        d = self.depth[y]
+        if d:
+            return self.depth[x] - d if self.pre[y] <= self.pre[x] < self.post[y] else None
+        if self.comp[y] != self.comp[x]:
+            return None
+        return self.depth[x] + (self.pos[y] - self.pos[x]) % self.period(x)
+
+    def meet(self, x: int, y: int) -> int:
+        """The first point of x's orbit on y's when that point is off the
+        cycle, or else some point of the cycle.  Lifts the deeper point to
+        the other's depth, then steps both until they are equal or both on
+        the cycle: the common points off the cycle are the ancestors of the
+        first one, which lies at one depth on both ways."""
+        table, depth = self.table, self.depth
+        while depth[x] > depth[y]:
+            x = table[x]
+        while depth[y] > depth[x]:
+            y = table[y]
+        while x != y and depth[x]:
+            x, y = table[x], table[y]
+        return x
+
+
+@lru_cache(maxsize=TABLE_GRAPH_CACHE)
+def table_graph(sm: FiniteTable) -> TableGraph:
+    return TableGraph(sm.table)
+
+
+# ---------------------------------------------------------------------------
 # Orbit results and profiles
 # ---------------------------------------------------------------------------
 
@@ -180,15 +301,15 @@ class Listing(Sequence):
 
     A Listing behaves as the tuple of its points: it compares equal to that
     tuple (never to a list), hashes like it, prints like it, and ``+`` and
-    slices give tuples.  ``len`` is O(1), an index is
-    ``OrbitProfile.point_at``, and iteration and slices read the profile's
-    segments over the window (``OrbitProfile._parts``), so a one-phase run
-    stays a range and a longer run lists only the steps read.
+    slices give tuples.  ``len`` is O(1), an index is the profile's
+    ``point_at``, and iteration and slices read its segments over the window
+    (``_parts``), so a one-phase run stays a range and a longer run lists
+    only the steps read.  A finite table's profile is a ``TableOrbit``.
     """
 
     __slots__ = ("_prof", "_lo", "_hi")
 
-    def __init__(self, profile: OrbitProfile, lo: int, hi: int):
+    def __init__(self, profile: OrbitProfile | TableOrbit, lo: int, hi: int):
         self._prof, self._lo, self._hi = profile, lo, hi
 
     def __len__(self) -> int:
@@ -228,15 +349,16 @@ class Listing(Sequence):
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: built in about three quarters of the time
 class OrbitResult:
     """Either an exact tail/cycle decomposition or an infinitude certificate.
 
     ``tail`` and ``cycle`` are Listings, the windows of the orbit's steps
-    before ``mu`` and from it; each compares equal to the tuple of its points."""
+    before ``mu`` and from it; each compares equal to the tuple of its points.
+    A finite table's are those tuples (``orbit`` lists them to check them)."""
 
-    tail: Listing | None = None
-    cycle: Listing | None = None
+    tail: Listing | tuple[int, ...] | None = None
+    cycle: Listing | tuple[int, ...] | None = None
     certificate: DriftCertificate | None = None
 
     @property
@@ -310,8 +432,68 @@ def _descent_periods(ph: CyclePhases, x: int, n0: int) -> int:
     return 0 if low < n0 else (low - n0) // -ph.drift + 1
 
 
+class TableOrbit:
+    """The orbit of one point of a finite table, as a view over the table's
+    graph (``TableGraph``): the point's depth is the tail length ``mu``, and
+    ``length`` adds its cycle's period.  It answers what ``OrbitProfile``
+    answers of a finite orbit and holds no point of it: membership and
+    hitting times are the graph's O(1) tests, and a listing walks the table
+    from the start over the tail, then slices the cycle from its entry.
+    """
+
+    __slots__ = ("sm", "start", "mu", "length", "_graph", "_cycle", "_at")
+    finite = True
+
+    def __init__(self, sm: FiniteTable, start: int):
+        g = table_graph(sm)
+        self.sm, self.start, self._graph = sm, g.check(start), g
+        self.mu = g.depth[start]
+        self.length = self.mu + g.period(start)
+        # the cycle listed twice, and the index in it of the start's entry
+        self._cycle, self._at = g.cycles[g.comp[start]], g.pos[start]
+
+    def hitting(self, y: int) -> int | None:
+        return self._graph.hitting(self.start, y)
+
+    def __contains__(self, y: int) -> bool:
+        return self._graph.hitting(self.start, y) is not None
+
+    def point_at(self, k: int) -> int:
+        mu = self.mu
+        if k >= mu:
+            return self._cycle[self._at + (k - mu) % (self.length - mu)]
+        return self._parts(k, k + 1)[0][0]
+
+    def points(self, n: int | None = None) -> tuple[int, ...]:
+        """The orbit's first n points in step order, all of them by default
+        or when it has fewer."""
+        n = self.length if n is None else min(n, self.length)
+        tail, cycle = self._parts(0, n)
+        return (*tail, *cycle) if tail else cycle
+
+    def _parts(self, lo: int, hi: int) -> tuple[Sequence[int], Sequence[int]]:
+        """The points at steps lo, ..., hi - 1 in step order: the tail's,
+        walked in the table, then a slice of the cycle."""
+        mu, at = self.mu, self._at
+        if lo >= mu:
+            return (), self._cycle[at + lo - mu : at + hi - mu]
+        table, x, tail = self.sm.table, self.start, []
+        for _ in range(lo):
+            x = table[x]
+        for _ in range(lo, hi if hi < mu else mu):
+            tail.append(x)
+            x = table[x]
+        return tail, self._cycle[at : at + hi - mu] if hi > mu else ()
+
+    def points_upto(self, bound: int) -> frozenset[int]:
+        """All orbit points with value <= bound."""
+        return frozenset(filter(bound.__ge__, self.points()))
+
+
 class OrbitProfile:
-    """Full description of one forward orbit, exact membership included.
+    """Full description of one forward orbit of a described map, exact
+    membership included; a finite table's orbits are views over its graph
+    (``TableOrbit``).
 
     The orbit is kept as segments in step order.  Points walked one at a
     time are in ``seq``, and ``_index`` maps each to its step.  The rest are
@@ -328,7 +510,7 @@ class OrbitProfile:
     are range and congruence tests.
     """
 
-    def __init__(self, sm: SelfMap, start: int):
+    def __init__(self, sm: DescribedNatMap, start: int):
         self.sm = sm
         self.start = start
         self.finite: bool
@@ -340,12 +522,10 @@ class OrbitProfile:
         self._index: dict[int, int] = {}
         self._walk(sm, start)
 
-    def _walk(self, sm: SelfMap, start: int) -> None:
+    def _walk(self, sm: DescribedNatMap, start: int) -> None:
         seq: list[int] = []
         index = self._index
-        nat = isinstance(sm, DescribedNatMap)
-        if nat:
-            phases, n0 = tail_structure(sm).phases, sm.prefix_len
+        phases, n0 = tail_structure(sm).phases, sm.prefix_len
         x, k = start, 0  # x is the point at step k
         while True:
             i = index.get(x)
@@ -354,7 +534,7 @@ class OrbitProfile:
             if i is not None:
                 self.finite, self.mu, self.length = True, i, k
                 break
-            ph = phases[x % sm.modulus] if nat and x >= n0 else None
+            ph = phases[x % sm.modulus] if x >= n0 else None
             if ph is not None and _starts_tail(ph, x, n0):
                 self.tail_run = _Run(k, x, ph, None)
                 self.runs += (self.tail_run,)
@@ -516,10 +696,10 @@ class OrbitProfile:
 
 
 @lru_cache(maxsize=PROFILE_CACHE)
-def orbit_profile(sm: SelfMap, x: int) -> OrbitProfile:
-    if isinstance(sm, FiniteTable) and not 0 <= x < sm.size:
-        raise OutOfDomain(f"{x} is outside [0, {sm.size})")
-    if isinstance(sm, DescribedNatMap) and x < 0:
+def orbit_profile(sm: SelfMap, x: int) -> OrbitProfile | TableOrbit:
+    if isinstance(sm, FiniteTable):
+        return TableOrbit(sm, x)
+    if x < 0:
         raise OutOfDomain(f"{x} is not a natural number")
     return OrbitProfile(sm, x)
 
@@ -572,17 +752,26 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     verified.
 
     ``tail`` and ``cycle`` are the Listings of steps [0, mu) and [mu, n), so
-    the result costs O(segments) and lists no point.
+    the result costs O(segments) and lists no point.  A finite table's orbit
+    is a view (``TableOrbit``) with no segments of its own: every point it
+    lists is checked by ``sm``, and ``tail`` and ``cycle`` are slices of
+    that listing, the tuples a Listing would compare equal to.
     """
     prof = orbit_profile(sm, x)
+    n, mu = prof.length, prof.mu
+    if prof.finite and n > MAX_LISTED_POINTS:
+        raise OrbitTooLong(x, n, MAX_LISTED_POINTS)
+    if isinstance(sm, FiniteTable):
+        tail, cycle = prof._parts(0, n)
+        pts = (*tail, *cycle) if tail else cycle
+        assert list(map(sm, pts)) == [*pts[1:], pts[mu]]  # _check_walked_links, inlined
+        return OrbitResult(pts[:mu], pts[mu:])
     if not prof.finite:
         tail = prof.tail_run
         cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
         cert.validate(sm)
         return OrbitResult(certificate=cert)
-    n, mu, seq = prof.length, prof.mu, prof.seq
-    if n > MAX_LISTED_POINTS:
-        raise OrbitTooLong(x, n, MAX_LISTED_POINTS)
+    seq = prof.seq
     k = walked = 0  # the step reached, and how many walked points lie before it
     for run in prof.runs:
         if run.base > k:
@@ -594,7 +783,7 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     assert len(seq) - walked == n - k
     if walked < len(seq):
         _check_walked_links(sm, seq[walked:], prof.point_at(mu))
-    return OrbitResult(tail=Listing(prof, 0, mu), cycle=Listing(prof, mu, n))
+    return OrbitResult(Listing(prof, 0, mu), Listing(prof, mu, n))
 
 
 def hitting_time(sm: SelfMap, x: int, y: int) -> int | None:
@@ -780,10 +969,14 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
     points are then the orbit of z, the first point of one orbit on all
     others, and infinite-orbit points that reach each other are equal; so
     a start value on every orbit is z, and the minimizer.
+
+    A finite table's orbits are read from its graph (``_table_xi``).
     """
     if not istar:
         raise ValueError("xi needs a nonempty set")
     istar = tuple(dict.fromkeys(istar))
+    if isinstance(sm, FiniteTable):
+        return _table_xi(table_graph(sm), istar)
     profs = [orbit_profile(sm, a) for a in istar]
     finiteness = {p.finite for p in profs}
     if len(finiteness) > 1:
@@ -815,8 +1008,56 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
     return XiResult(key[1], dict(zip(istar, best_times)))
 
 
+def _table_xi(g: TableGraph, istar: tuple[int, ...]) -> XiResult | None:
+    """``xi`` over distinct points of a finite table, from its graph.
+
+    The orbits meet iff they lead to one cycle.  Their common points off the
+    cycle, if any, are the first one, z, and the points on its way to the
+    cycle, which every orbit reaches later; so z is the minimizer, found by
+    folding ``TableGraph.meet`` over the points.
+
+    Otherwise the common points are the cycle's.  Lemma: as y steps forward
+    along the cycle, the sum of the hitting times of y grows by k = |istar|,
+    except where y enters at some ``entry[a]``: a's hitting time then drops
+    from depth[a] + L - 1 to depth[a], L the period.  So every minimizer is
+    an entry point: y just past a point that is not one costs k more than
+    it.  The sweep takes the sum at the last entry position, then at each
+    entry position in cycle order from the one before by that rule, one
+    entering point at a time: a position entered by several points gets its
+    sum at the last of them, and the earlier readings there are higher.  A
+    tie goes to the smallest point.
+    """
+    g.check(min(istar))
+    g.check(max(istar))
+    comp, depth, pos = g.comp, g.depth, g.pos
+    if len({comp[a] for a in istar}) > 1:
+        return None
+    z = istar[0]
+    for a in istar[1:]:
+        if not depth[z]:
+            break
+        z = g.meet(z, a)
+    if depth[z]:
+        return XiResult(z, {a: depth[a] - depth[z] for a in istar})
+    cycle = g.cycles[comp[z]]
+    period, k = len(cycle) // 2, len(istar)
+    qs = sorted(pos[a] for a in istar)
+    cost = sum((qs[-1] - q) % period for q in qs)
+    prev, sums = qs[-1] - period, []
+    for q in qs:
+        cost += k * (q - prev) - period
+        prev = q
+        sums.append((cost, cycle[q], q))
+    _, w, q = min(sums)
+    return XiResult(w, {a: depth[a] + (q - pos[a]) % period for a in istar})
+
+
 def in_D_phi(sm: SelfMap, istar: tuple[int, ...]) -> bool:
-    """True iff the orbits of the elements of ``istar`` share a common point."""
+    """True iff the orbits of the elements of ``istar`` share a common point:
+    on a finite table, iff they lead to one cycle."""
+    if isinstance(sm, FiniteTable) and istar:
+        g = table_graph(sm)
+        return len({g.comp[g.check(a)] for a in istar}) == 1
     return xi(sm, istar) is not None
 
 

@@ -26,6 +26,7 @@ from .errors import NotAP2Solution, StructureViolation
 from .orbits import (
     OrbitProfile,
     OrbitSummary,
+    TableGraph,
     _descent_periods,
     all_orbits_infinite,
     check_p_tilde,
@@ -35,6 +36,7 @@ from .orbits import (
     orbit_profile,
     orbit_summaries,
     shift_magnitude,
+    table_graph,
     tail_structure,
     xi,
 )
@@ -142,8 +144,35 @@ def total_order_witness(sm: SelfMap, scope: str = SCOPE_ALL) -> Optional[tuple[i
     if isinstance(sm, FiniteTable):
         if scope == SCOPE_INFINITE:
             return None
-        return _first_incomparable(sm, list(range(sm.size)))
+        return _table_total_order_witness(table_graph(sm))
     return _described_total_order_witness(sm, scope)
+
+
+def _table_total_order_witness(g: TableGraph) -> Optional[tuple[int, int]]:
+    """The first incomparable pair of a table's points in scan order, or
+    None, in O(n) with the graph's O(1) reachability.
+
+    Call a point universal when it is comparable with every point.  With
+    more than one component none is; with one, a cycle point is, and a
+    point x off the cycle is iff its subtree in the in-forest and the
+    depth[x] - 1 points on its way to the cycle hold all n - L points off
+    it.  The first pair's x is the least point that is not universal: every
+    point below it is universal, and a point incomparable with x is not, so
+    lies above x.  Its y is the least point above x that x does not compare
+    with.
+    """
+    n, depth, pre, post = len(g.table), g.depth, g.pre, g.post
+    one = len(g.cycles) == 1
+    off = n - g.period(0)  # the points off the cycle, when there is one
+
+    def universal(x: int) -> bool:
+        return one and (not depth[x] or post[x] - pre[x] + depth[x] - 1 == off)
+
+    x = next((x for x in range(n) if not universal(x)), None)
+    if x is None:
+        return None
+    y = next(y for y in range(x + 1, n) if g.hitting(x, y) is None and g.hitting(y, x) is None)
+    return (x, y)
 
 
 def is_total_order(sm: SelfMap, scope: str = SCOPE_ALL) -> bool:
@@ -501,7 +530,8 @@ def has_full_orbit(sm: SelfMap) -> Optional[int]:
     preimage, so the start must be the unique point without preimage, and
     candidates are pinned down exactly and then verified by coverage.  A
     table with no such point is a permutation, whose full orbit, if any, is
-    one cycle through 0.
+    one cycle through 0.  On a table the start's orbit length is its depth
+    plus its period, read off the table's graph (``orbits.TableGraph``).
     """
     if isinstance(sm, FiniteTable):
         unhit = set(range(sm.size)).difference(sm.table)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import InfiniteOrbitError, NotNatDomain, ProfileInvalid
-from .orbits import orbit_profile
-from .selfmap import DescribedNatMap, PointIndex, SelfMap, point_index
+from .orbits import orbit_profile, table_graph
+from .selfmap import DescribedNatMap, FiniteTable, PointIndex, SelfMap, point_index
 
 
 def orbit_union(
@@ -27,8 +27,10 @@ def orbit_union(
     union is closed under the map, so it is skipped.  Raises
     InfiniteOrbitError on a start of ``whole`` with an infinite orbit, and
     OrbitTooLong when an orbit or a segment has more than MAX_LISTED_POINTS
-    points.
+    points.  A finite table's union is walked in the table (``_table_union``).
     """
+    if isinstance(sm, FiniteTable):
+        return _table_union(sm, whole, cut, v)
     pts: set[int] = set()
     for a in whole:
         if a in pts:
@@ -42,6 +44,33 @@ def orbit_union(
         k = prof.hitting(v)
         assert k is not None, "a segment must end on its orbit"
         pts.update(prof.points(k + 1))
+    return tuple(sorted(pts))
+
+
+def _table_union(
+    sm: FiniteTable, whole: Iterable[int], cut: Iterable[int], v: Optional[int]
+) -> tuple[int, ...]:
+    """``orbit_union`` on a finite table: each walk stops at v or at a point
+    already in the union.  From such a point the rest of a whole orbit is in
+    the union, which holds that point's whole orbit or its segment up to v;
+    the rest of a segment is in it too, since a segment's points before v
+    lead to v first."""
+    g, table = table_graph(sm), sm.table
+    pts: set[int] = set()
+    for a in whole:
+        if a in pts:
+            continue
+        a = g.check(a)
+        while a not in pts:
+            pts.add(a)
+            a = table[a]
+    for a in cut:
+        assert g.hitting(g.check(a), v) is not None, "a segment must end on its orbit"
+        while a not in pts:
+            pts.add(a)
+            if a == v:
+                break
+            a = table[a]
     return tuple(sorted(pts))
 
 

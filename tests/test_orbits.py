@@ -398,10 +398,13 @@ TWIN_CYCLE = FiniteTable(tuple((i + 1) % 6 for i in range(12)))
 )
 def test_orbit_checks_every_link_of_the_listing(monkeypatch, wrong):
     prof = orbit_profile(TWIN_CYCLE, 0)
-    assert prof.seq == (0, 1, 2, 3, 4, 5) and not prof.runs
-    assert orbit(TWIN_CYCLE, 0).cycle == prof.seq
-    corrupt = prof.seq[:wrong] + (prof.seq[wrong] + 6,) + prof.seq[wrong + 1 :]
-    monkeypatch.setattr(prof, "seq", corrupt)
+    listed = prof.points()
+    assert listed == (0, 1, 2, 3, 4, 5) and prof.mu == 0
+    assert orbit(TWIN_CYCLE, 0).cycle == listed
+    corrupt = listed[:wrong] + (listed[wrong] + 6,) + listed[wrong + 1 :]
+    # the view lists its cycle from this tuple, which holds the cycle twice
+    monkeypatch.setattr(prof, "_cycle", corrupt * 2)
+    assert prof.points() == corrupt
     with pytest.raises(AssertionError):
         orbit(TWIN_CYCLE, 0)
 

@@ -244,8 +244,9 @@ def test_finite_point_search_builds_no_profile(sm, witness):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_library_caches_stay_bounded():
-    # the probe's peak at 1,000 and 4,000 maps (20 and 23 MB; 37 and 94 MB
-    # with unbounded caches and a profile per point for finiteness)
+    # the probe's peak at 1,000 and 4,000 maps (31 and 38 MB with its 64-entry
+    # tables, 20 and 23 MB without; 37 and 94 MB with unbounded caches and a
+    # profile per point for finiteness)
     import quasinv
 
     probe = Path(__file__).parent / "cache_probe.py"
