@@ -226,7 +226,10 @@ class SuiteReport:
 
 
 class _Recorder:
-    """Counts instances and collects serialized counterexamples."""
+    """Counts instances and collects serialized counterexamples.
+
+    A detail may be given as a tuple; a failure records it as a list, as
+    JSON reads it back, so a passing instance pays for no conversion."""
 
     def __init__(self):
         self.instances = 0
@@ -235,10 +238,22 @@ class _Recorder:
     def check(self, ok: bool, sm: SelfMap | None = None, **detail) -> None:
         self.instances += 1
         if not ok:
-            fail = {k: v for k, v in detail.items()}
+            fail = {k: list(v) if isinstance(v, tuple) else v for k, v in detail.items()}
             if sm is not None:
                 fail["map"] = map_to_obj(sm)
             self.failures.append(fail)
+
+
+# n -> every table on [0, n), cleared when run_theorem_suite returns: each
+# check reads the same table objects, so the table caches hit by identity
+_TABLES: dict[int, list[FiniteTable]] = {}
+
+
+def _tables(n: int) -> list[FiniteTable]:
+    """All n^n finite tables, enumerated once per suite run."""
+    if n not in _TABLES:
+        _TABLES[n] = list(enumerate_finite_maps(n))
+    return _TABLES[n]
 
 
 def _corpus(cfg: SuiteConfig) -> list[DescribedNatMap]:
@@ -260,7 +275,7 @@ def _subsets_upto(points, max_size):
 def _check_orbit_dichotomy(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     for n in range(1, cfg.n_max + 1):
-        for sm in enumerate_finite_maps(n):
+        for sm in _tables(n):
             for x in range(n):
                 res = orbits_mod.orbit(sm, x)
                 ok = res.is_finite and len(res.tail) + len(res.cycle) <= n
@@ -290,7 +305,7 @@ def _check_orbit_infinite_distinct(cfg: SuiteConfig) -> _Recorder:
 def _check_orbit_links(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     maps: list[SelfMap] = list(_corpus(cfg))
-    maps += [sm for sm in enumerate_finite_maps(min(cfg.n_max, 3))]
+    maps += _tables(min(cfg.n_max, 3))
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(7)
         for x in pts:
@@ -343,7 +358,7 @@ def _check_intersection_is_shared_orbit(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     maps: list[SelfMap] = list(_corpus(cfg))
     for n in range(1, cfg.n_max + 1):
-        maps += list(enumerate_finite_maps(n))
+        maps += _tables(n)
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(9)
         for istar in _subsets_upto(pts, 3):
@@ -355,7 +370,7 @@ def _check_intersection_is_shared_orbit(cfg: SuiteConfig) -> _Recorder:
                 up = orbits_mod.orbit_profile(sm, a).points_upto(cfg.window)
                 common = up if common is None else common & up
             shared = orbits_mod.orbit_profile(sm, z.point).points_upto(cfg.window)
-            rec.check(common == shared, sm, istar=list(istar), point=z.point)
+            rec.check(common == shared, sm, istar=istar, point=z.point)
     return rec
 
 
@@ -363,14 +378,14 @@ def _check_class_purity(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     maps: list[SelfMap] = list(_corpus(cfg))
     for n in range(1, cfg.n_max + 1):
-        maps += list(enumerate_finite_maps(n))
+        maps += _tables(n)
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(11)
         for istar in _subsets_upto(pts, 3):
             if not orbits_mod.in_D_phi(sm, istar):
                 continue
             classes = {orbits_mod.orbit_profile(sm, a).finite for a in istar}
-            rec.check(len(classes) == 1, sm, istar=list(istar))
+            rec.check(len(classes) == 1, sm, istar=istar)
     return rec
 
 
@@ -387,7 +402,7 @@ def _check_pairwise_joint(cfg: SuiteConfig) -> _Recorder:
                 continue
             z = orbits_mod.xi(sm, istar)
             ok = z is not None and not orbits_mod.orbit_profile(sm, z.point).finite
-            rec.check(ok, sm, istar=list(istar))
+            rec.check(ok, sm, istar=istar)
     return rec
 
 
@@ -416,7 +431,7 @@ def _check_full_orbit_cofinite(cfg: SuiteConfig) -> _Recorder:
 def _check_shared_point_minimality(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     maps: list[SelfMap] = list(_corpus(cfg))
-    maps += [sm for sm in enumerate_finite_maps(min(cfg.n_max, 3))]
+    maps += _tables(min(cfg.n_max, 3))
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(9)
         walks = {a: _Walk(sm, a) for a in pts}
@@ -437,7 +452,7 @@ def _check_shared_point_minimality(cfg: SuiteConfig) -> _Recorder:
                 ok = zc == sum(z.hitting_times.values()) and all(
                     zc < cost[c] or (zc == cost[c] and z.point <= c) for c in common
                 )
-            rec.check(ok, sm, istar=list(istar), point=z.point)
+            rec.check(ok, sm, istar=istar, point=z.point)
     return rec
 
 
@@ -453,7 +468,7 @@ def _check_quasi_oracle(cfg: SuiteConfig) -> _Recorder:
         for mask in range(1, 1 << n):
             lam = tuple(x for x in range(n) if mask >> x & 1)
             sets.append((mask, lam, [1 << x for x in lam]))
-        for sm in enumerate_finite_maps(n):
+        for sm in _tables(n):
             table = sm.table
             for mask, lam, bits in sets:
                 # escapes: the points of lam whose image leaves it; img: the image
@@ -481,7 +496,7 @@ def _check_quasi_oracle(cfg: SuiteConfig) -> _Recorder:
                     if rep_i.holds:
                         removed = sum(bit for x, bit in zip(lam, bits) if x in rep_i.witness)
                         ok = ok and len(rep_i.witness) <= k and esc & ~removed == 0
-                    rec.check(ok, sm, lam=list(lam), k=k)
+                    rec.check(ok, sm, lam=lam, k=k)
     return rec
 
 
@@ -489,7 +504,7 @@ def _check_quasi_monotonic(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     rng = random.Random(cfg.seed)
     maps: list[SelfMap] = [random_described_map(cfg.seed + i) for i in range(20)]
-    maps += [sm for sm in enumerate_finite_maps(min(cfg.n_max, 3))]
+    maps += _tables(min(cfg.n_max, 3))
     for sm in maps:
         for _ in range(6):
             hi = sm.size - 1 if isinstance(sm, FiniteTable) else 10
@@ -499,11 +514,11 @@ def _check_quasi_monotonic(cfg: SuiteConfig) -> _Recorder:
                 i_k1 = quasi_mod.internal_quasi_invariant(sm, lam, k + 1).holds
                 e_k = quasi_mod.external_quasi_invariant(sm, lam, k).holds
                 e_k1 = quasi_mod.external_quasi_invariant(sm, lam, k + 1).holds
-                rec.check((not i_k or i_k1) and (not e_k or e_k1), sm, lam=list(lam), k=k)
+                rec.check((not i_k or i_k1) and (not e_k or e_k1), sm, lam=lam, k=k)
             inv = quasi_mod.is_invariant(sm, lam)
             i0 = quasi_mod.internal_quasi_invariant(sm, lam, 0).holds
             e0 = quasi_mod.external_quasi_invariant(sm, lam, 0).holds
-            rec.check(inv == i0 == e0, sm, lam=list(lam))
+            rec.check(inv == i0 == e0, sm, lam=lam)
     return rec
 
 
@@ -512,7 +527,7 @@ def _check_identity_subsets(cfg: SuiteConfig) -> _Recorder:
     for n in range(2, cfg.n_max + 1):
         for k in range(1, n + 1):
             holds = 0
-            for sm in enumerate_finite_maps(n):
+            for sm in _tables(n):
                 # direct quantifier over all subsets of size >= k
                 direct = all(
                     all(sm(x) in s for x in s)
@@ -549,7 +564,7 @@ def _check_identity_intervals(cfg: SuiteConfig) -> _Recorder:
 def _check_subset_classifier(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     for n in range(3, cfg.n_max + 1):
-        for sm in enumerate_finite_maps(n):
+        for sm in _tables(n):
             table = brute_force_w_table(sm)
             res = classify_mod.classify_subsets_1qi(sm)
             if (table is None) != (res is None):
@@ -642,24 +657,25 @@ def _check_strict_classifier(cfg: SuiteConfig) -> _Recorder:
 def _check_superset_union(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     for n in range(1, cfg.n_max + 1):
-        for sm in enumerate_finite_maps(n):
+        # the points of each nonempty mask, at index mask - 1
+        members = [tuple(x for x in range(n) if mask >> x & 1) for mask in range(1, 1 << n)]
+        for sm in _tables(n):
             table = sm.table
-            closed = []
-            for gmask in range(1, 1 << n):
-                g = [x for x in range(n) if gmask >> x & 1]
-                if all(gmask >> table[x] & 1 for x in g):
-                    closed.append((gmask, g))
+            closed = [
+                (gmask, g)
+                for gmask, g in enumerate(members, 1)
+                if all(gmask >> table[x] & 1 for x in g)
+            ]
             for gmask, g in closed:
                 # every nonempty submask of gmask, in increasing order
                 imask = -gmask & gmask
                 while imask:
-                    istar = [x for x in g if imask >> x & 1]
+                    istar = members[imask - 1]
                     rebuilt = supersets_mod.build_G_orbit_union(sm, istar, g)
-                    rec.check(list(rebuilt) == g, sm, istar=istar, g=g)
+                    rec.check(rebuilt == g, sm, istar=istar, g=g)
                     imask = (imask - gmask) & gmask
             # forward direction: every orbit union is closed and contains its seed
-            for imask in range(1, 1 << n):
-                istar = [x for x in range(n) if imask >> x & 1]
+            for istar in members:
                 built = supersets_mod.build_G_orbit_union(sm, istar)
                 rec.check(
                     supersets_mod.check_superset_closure(sm, istar, built), sm, istar=istar
@@ -744,7 +760,7 @@ def _check_solution_valid(cfg: SuiteConfig, mode: str) -> _Recorder:
         for istar in _subsets_upto(range(9), 3):
             g = sol.G(istar)
             u = sol.u(istar)
-            rec.check(psolve_mod.check_P(mode, sm, g, u, istar), sm, istar=list(istar))
+            rec.check(psolve_mod.check_P(mode, sm, g, u, istar), sm, istar=istar)
     return rec
 
 
@@ -762,7 +778,7 @@ def _check_p1_existence(cfg: SuiteConfig) -> _Recorder:
                 and not orbits_mod.orbit_profile(sm, wit[1]).finite
                 and orbits_mod.orbits_intersect(sm, wit[0], wit[1]) is None
             )
-            rec.check(ok, sm, witness=list(wit) if wit else None)
+            rec.check(ok, sm, witness=wit)
     return rec
 
 
@@ -781,7 +797,7 @@ def _check_p2_existence(cfg: SuiteConfig) -> _Recorder:
                 and orbits_mod.hitting_time(sm, wit[0], wit[1]) is None
                 and orbits_mod.hitting_time(sm, wit[1], wit[0]) is None
             )
-            rec.check(ok, sm, witness=list(wit) if wit else None)
+            rec.check(ok, sm, witness=wit)
     return rec
 
 
@@ -797,7 +813,7 @@ def _check_removal_escapes(cfg: SuiteConfig) -> _Recorder:
                     continue
                 g = sol.G(istar)
                 img = sm(u)
-                rec.check(img not in set(g) and img not in set(istar), sm, istar=list(istar))
+                rec.check(img not in set(g) and img not in set(istar), sm, istar=istar)
     return rec
 
 
@@ -827,10 +843,10 @@ def _check_p1_structure(cfg: SuiteConfig) -> _Recorder:
                 try:
                     dec = psolve_mod.decompose_HHH(sm, g, v)
                 except StructureViolation as exc:
-                    rec.check(False, sm, istar=list(istar), error=str(exc))
+                    rec.check(False, sm, istar=istar, error=str(exc))
                     continue
                 any_inf = any(not orbits_mod.orbit_profile(sm, a).finite for a in g)
-                rec.check(dec.case == ("infinite" if any_inf else "finite"), sm, istar=list(istar))
+                rec.check(dec.case == ("infinite" if any_inf else "finite"), sm, istar=istar)
         # converse: hand-built shape-conforming pairs satisfy the predicate
         fins = [a for a in range(9) if orbits_mod.orbit_profile(sm, a).finite]
         for a in fins[:4]:
@@ -907,7 +923,7 @@ def _check_shared_in_set_p2(cfg: SuiteConfig) -> _Recorder:
 def _check_enumeration(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     for n in range(1, min(cfg.n_max, 4) + 1):
-        seen = {sm.table for sm in enumerate_finite_maps(n)}
+        seen = {sm.table for sm in _tables(n)}
         rec.check(len(seen) == n**n, None, n=n, count=len(seen))
     return rec
 
@@ -953,10 +969,13 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
     config.validate()
     selected = config.theorems if config.theorems is not None else tuple(CHECKS)
     results = []
-    for check_id in sorted(selected):
-        description, fn = CHECKS[check_id]
-        t0 = time.perf_counter()
-        rec = fn(config)
-        seconds = time.perf_counter() - t0
-        results.append(CheckResult(check_id, description, rec.instances, rec.failures, seconds))
+    try:
+        for check_id in sorted(selected):
+            description, fn = CHECKS[check_id]
+            t0 = time.perf_counter()
+            rec = fn(config)
+            seconds = time.perf_counter() - t0
+            results.append(CheckResult(check_id, description, rec.instances, rec.failures, seconds))
+    finally:
+        _TABLES.clear()  # so a run at n_max = 6 holds none of its tables afterwards
     return SuiteReport(config, results)

@@ -224,12 +224,6 @@ class TableGraph:
         self.pre = array(code, pre)
         self.post = array(code, map(operator.add, pre, size))
 
-    def check(self, x: int) -> int:
-        """x itself, or OutOfDomain when it is no point of the table."""
-        if not 0 <= x < len(self.table):
-            raise OutOfDomain(f"{x} is outside [0, {len(self.table)})")
-        return x
-
     def period(self, x: int) -> int:
         """The length of the cycle x leads to."""
         return len(self.cycles[self.comp[x]]) // 2
@@ -445,8 +439,9 @@ class TableOrbit:
     finite = True
 
     def __init__(self, sm: FiniteTable, start: int):
+        sm._table_on((start,))
         g = table_graph(sm)
-        self.sm, self.start, self._graph = sm, g.check(start), g
+        self.sm, self.start, self._graph = sm, start, g
         self.mu = g.depth[start]
         self.length = self.mu + g.period(start)
         # the cycle listed twice, and the index in it of the start's entry
@@ -754,7 +749,7 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     ``tail`` and ``cycle`` are the Listings of steps [0, mu) and [mu, n), so
     the result costs O(segments) and lists no point.  A finite table's orbit
     is a view (``TableOrbit``) with no segments of its own: every point it
-    lists is checked by ``sm``, and ``tail`` and ``cycle`` are slices of
+    lists is checked in the table, and ``tail`` and ``cycle`` are slices of
     that listing, the tuples a Listing would compare equal to.
     """
     prof = orbit_profile(sm, x)
@@ -763,8 +758,10 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
         raise OrbitTooLong(x, n, MAX_LISTED_POINTS)
     if isinstance(sm, FiniteTable):
         tail, cycle = prof._parts(0, n)
-        pts = (*tail, *cycle) if tail else cycle
-        assert list(map(sm, pts)) == [*pts[1:], pts[mu]]  # _check_walked_links, inlined
+        pts, table = (*tail, *cycle) if tail else cycle, sm.table
+        # _check_walked_links in the table; a listed point outside it is
+        # skipped, never read from the table's end, so the images fall short
+        assert [table[p] for p in pts if 0 <= p < len(table)] == [*pts[1:], pts[mu]]
         return OrbitResult(pts[:mu], pts[mu:])
     if not prof.finite:
         tail = prof.tail_run
@@ -976,6 +973,7 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
         raise ValueError("xi needs a nonempty set")
     istar = tuple(dict.fromkeys(istar))
     if isinstance(sm, FiniteTable):
+        sm._table_on(istar)
         return _table_xi(table_graph(sm), istar)
     profs = [orbit_profile(sm, a) for a in istar]
     finiteness = {p.finite for p in profs}
@@ -1009,7 +1007,8 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
 
 
 def _table_xi(g: TableGraph, istar: tuple[int, ...]) -> XiResult | None:
-    """``xi`` over distinct points of a finite table, from its graph.
+    """``xi`` over distinct points of a finite table, checked by the caller,
+    from its graph.
 
     The orbits meet iff they lead to one cycle.  Their common points off the
     cycle, if any, are the first one, z, and the points on its way to the
@@ -1027,8 +1026,6 @@ def _table_xi(g: TableGraph, istar: tuple[int, ...]) -> XiResult | None:
     sum at the last of them, and the earlier readings there are higher.  A
     tie goes to the smallest point.
     """
-    g.check(min(istar))
-    g.check(max(istar))
     comp, depth, pos = g.comp, g.depth, g.pos
     if len({comp[a] for a in istar}) > 1:
         return None
@@ -1055,9 +1052,10 @@ def _table_xi(g: TableGraph, istar: tuple[int, ...]) -> XiResult | None:
 def in_D_phi(sm: SelfMap, istar: tuple[int, ...]) -> bool:
     """True iff the orbits of the elements of ``istar`` share a common point:
     on a finite table, iff they lead to one cycle."""
-    if isinstance(sm, FiniteTable) and istar:
-        g = table_graph(sm)
-        return len({g.comp[g.check(a)] for a in istar}) == 1
+    if isinstance(sm, FiniteTable) and (istar := tuple(istar)):
+        sm._table_on(istar)
+        comp = table_graph(sm).comp
+        return len({comp[a] for a in istar}) == 1
     return xi(sm, istar) is not None
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Union
+from typing import Collection, Union
 
 from .errors import InvalidMap, OutOfDomain, ParseError
 
@@ -69,6 +69,16 @@ class FiniteTable:
         if not 0 <= x < len(table):
             raise OutOfDomain(f"{x} is outside [0, {len(table)})")
         return table[x]
+
+    def _table_on(self, points: Collection[int]) -> tuple[int, ...]:
+        """The table, once every point of ``points`` is shown to lie in
+        [0, n): callers then index it, and the graph's arrays, directly, and
+        no point is read from an array's end."""
+        table = self.table
+        for x in points:  # a loop: cheaper than min and max on a few points
+            if not 0 <= x < len(table):
+                raise OutOfDomain(f"{x} is outside [0, {len(table)})")
+        return table
 
     def iterate(self, x: int, k: int) -> int:
         """Apply the map ``k`` times; ``k = 0`` returns ``x`` unchanged."""

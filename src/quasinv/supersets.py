@@ -48,24 +48,22 @@ def orbit_union(
 
 
 def _table_union(
-    sm: FiniteTable, whole: Iterable[int], cut: Iterable[int], v: Optional[int]
+    sm: FiniteTable, whole: Iterable[int], cut: Iterable[int] = (), v: Optional[int] = None
 ) -> tuple[int, ...]:
     """``orbit_union`` on a finite table: each walk stops at v or at a point
     already in the union.  From such a point the rest of a whole orbit is in
     the union, which holds that point's whole orbit or its segment up to v;
     the rest of a segment is in it too, since a segment's points before v
     lead to v first."""
-    g, table = table_graph(sm), sm.table
+    whole, cut = tuple(whole), tuple(cut)
+    table = sm._table_on(whole + cut)
     pts: set[int] = set()
     for a in whole:
-        if a in pts:
-            continue
-        a = g.check(a)
         while a not in pts:
             pts.add(a)
             a = table[a]
     for a in cut:
-        assert g.hitting(g.check(a), v) is not None, "a segment must end on its orbit"
+        assert table_graph(sm).hitting(a, v) is not None, "a segment must end on its orbit"
         while a not in pts:
             pts.add(a)
             if a == v:
@@ -77,14 +75,20 @@ def _table_union(
 def build_G_orbit_union(
     sm: SelfMap, istar: Iterable[int], h: Iterable[int] = ()
 ) -> tuple[int, ...]:
-    """Union of the orbits over ``istar`` and ``h``; invariant and contains ``istar``."""
+    """Union of the orbits over ``istar`` and ``h``; invariant and contains
+    ``istar``.  A finite table's is walked in the table directly."""
+    if isinstance(sm, FiniteTable):
+        return _table_union(sm, (*istar, *h))
     return orbit_union(sm, [*istar, *h])
 
 
 def check_superset_closure(sm: SelfMap, istar: Iterable[int], g_value: Iterable[int]) -> bool:
     """True iff ``istar`` is contained in the set and the set's image stays inside."""
     g = set(g_value)
-    return set(istar) <= g and all(sm(x) in g for x in g)
+    if not set(istar) <= g:
+        return False
+    f = sm._table_on(g).__getitem__ if isinstance(sm, FiniteTable) else sm
+    return g.issuperset(map(f, g))
 
 
 @dataclass(frozen=True)

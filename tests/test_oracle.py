@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from quasinv import classify as classify_mod
+from quasinv import oracle as oracle_mod
 from quasinv import orbits as orbits_mod
 from quasinv import quasi as quasi_mod
 from quasinv import supersets as supersets_mod
@@ -183,4 +184,7 @@ def test_rewritten_routes_catch_mutants(label):
         report = run_theorem_suite(cfg)
     failures = report.checks[0].failures
     assert failures and all("map" in f for f in failures), label
+    # details passed as tuples are recorded as lists, as JSON reads them back
+    assert all(f == json.loads(json.dumps(f)) for f in failures), label
     assert run_theorem_suite(cfg).passed, label
+    assert not oracle_mod._TABLES, "the suite's table memo outlives its run"

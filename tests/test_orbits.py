@@ -401,12 +401,15 @@ def test_orbit_checks_every_link_of_the_listing(monkeypatch, wrong):
     listed = prof.points()
     assert listed == (0, 1, 2, 3, 4, 5) and prof.mu == 0
     assert orbit(TWIN_CYCLE, 0).cycle == listed
-    corrupt = listed[:wrong] + (listed[wrong] + 6,) + listed[wrong + 1 :]
-    # the view lists its cycle from this tuple, which holds the cycle twice
-    monkeypatch.setattr(prof, "_cycle", corrupt * 2)
-    assert prof.points() == corrupt
-    with pytest.raises(AssertionError):
-        orbit(TWIN_CYCLE, 0)
+    # +6 stays in the table; -6 leaves it below 0, where an index would wrap
+    # round to p + 6, and +12 leaves it at 12 or above
+    for offset in (6, -6, 12):
+        corrupt = listed[:wrong] + (listed[wrong] + offset,) + listed[wrong + 1 :]
+        # the view lists its cycle from this tuple, which holds the cycle twice
+        monkeypatch.setattr(prof, "_cycle", corrupt * 2)
+        assert prof.points() == corrupt
+        with pytest.raises(AssertionError):
+            orbit(TWIN_CYCLE, 0)
 
 
 def test_orbit_of_a_long_descent_lists_every_link():

@@ -1,5 +1,6 @@
-"""Finite-table orbit queries, read from one functional-graph decomposition
-per table, against a walk of every start's orbit."""
+"""Finite-table queries, read from the table and from one functional-graph
+decomposition per table, against a walk of every start's orbit and against
+evaluating the map point by point."""
 
 import itertools
 import os
@@ -13,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 from quasinv import FiniteTable, OutOfDomain, hitting_time, in_D_phi, orbit, xi
 from quasinv.oracle import enumerate_finite_maps
 from quasinv.psolve import SCOPE_ALL, has_full_orbit, is_total_order, total_order_witness
-from quasinv.supersets import orbit_union
+from quasinv.quasi import external_quasi_invariant, internal_quasi_invariant
+from quasinv.supersets import build_G_orbit_union, check_superset_closure, orbit_union
 
 
 # ---------------------------------------------------------------------------
-# The reference: one walk per start, with the step at which it meets each point
+# The reference: one walk per start, with the step at which it meets each
+# point, evaluating the map point by point (so a point outside the table
+# raises OutOfDomain)
 # ---------------------------------------------------------------------------
 
 
@@ -27,7 +31,7 @@ def _walk(sm, x):
     while x not in first:
         first[x] = len(seq)
         seq.append(x)
-        x = sm.table[x]
+        x = sm(x)
     return seq, first
 
 
@@ -159,6 +163,19 @@ def test_table_queries_match_the_walks(sm, draws):
 def test_a_start_outside_the_table_raises():
     sm = FiniteTable((1, 2, 0))
     for x in (-1, 3):
+        for k in (0, 3):
+            for lam in ((0, x), {x, 1}):
+                with pytest.raises(OutOfDomain):
+                    internal_quasi_invariant(sm, lam, k)
+                with pytest.raises(OutOfDomain):
+                    external_quasi_invariant(sm, lam, k)
+        assert not check_superset_closure(sm, (x,), (0, 1, 2))  # not inside: nothing read
+        with pytest.raises(OutOfDomain):
+            check_superset_closure(sm, (x,), (0, 1, 2, x))
+        with pytest.raises(OutOfDomain):
+            check_superset_closure(sm, (0,), (0, 1, 2, x))
+        with pytest.raises(OutOfDomain):
+            build_G_orbit_union(sm, (0,), (x,))
         with pytest.raises(OutOfDomain):
             hitting_time(sm, x, 0)
         with pytest.raises(OutOfDomain):
@@ -169,6 +186,81 @@ def test_a_start_outside_the_table_raises():
             orbit_union(sm, (x,))
         with pytest.raises(OutOfDomain):
             orbit(sm, x)
+
+
+# ---------------------------------------------------------------------------
+# Table reads against evaluating the map point by point
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """What fn returns, or OutOfDomain when it raises that."""
+    try:
+        return fn(*args)
+    except OutOfDomain:
+        return OutOfDomain
+
+
+def _ref_internal(sm, lam, k):
+    pts = set(lam)
+    escapes = tuple(sorted(x for x in pts if sm(x) not in pts))
+    return (True, "internal", escapes) if len(escapes) <= k else (False, "internal", None)
+
+
+def _ref_external(sm, lam, k):
+    pts = set(lam)
+    excess = tuple(sorted({sm(x) for x in pts} - pts))
+    return (len(excess) <= k, "external", excess)
+
+
+def _ref_closure(sm, istar, g):
+    g = set(g)
+    # every point of the set is read, so one outside the table always raises
+    return set(istar) <= g and all([sm(x) in g for x in g])
+
+
+@st.composite
+def table_and_points(draw):
+    """A random table on n <= 8 points and two tuples of points, drawn from
+    the table or from [-2, n + 2), which holds points on either side of it."""
+    n = draw(st.integers(1, 8))
+    table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    lo, hi = draw(st.sampled_from([(0, n - 1), (-2, n + 1)]))
+    points = st.lists(st.integers(lo, hi), min_size=1, max_size=5).map(tuple)
+    return FiniteTable(tuple(table)), draw(points), draw(points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_and_points())
+def test_table_reads_match_per_point_evaluation(drawn):
+    sm, lam, other = drawn
+    for k in range(4):
+        for pts in (lam, set(lam)):
+            got = _outcome(internal_quasi_invariant, sm, pts, k)
+            assert got == _outcome(_ref_internal, sm, lam, k), (sm.table, pts, k)
+            got = _outcome(external_quasi_invariant, sm, pts, k)
+            assert got == _outcome(_ref_external, sm, lam, k), (sm.table, pts, k)
+    union = _outcome(_ref_union, sm, lam + other, (), None)
+    assert _outcome(build_G_orbit_union, sm, lam, other) == union, (sm.table, lam, other)
+    pairs = [(lam, other), (lam[:1], lam), (lam, lam + other)]
+    if union is not OutOfDomain:
+        pairs.append((lam, union))
+    for istar, g in pairs:
+        got = _outcome(check_superset_closure, sm, istar, g)
+        assert got == _outcome(_ref_closure, sm, istar, g), (sm.table, istar, g)
+    ref = _outcome(_ref_xi, sm, lam)
+    z = _outcome(xi, sm, lam)
+    if z not in (None, OutOfDomain):
+        z = (z.point, tuple(z.hitting_times[a] for a in dict.fromkeys(lam)))
+    assert z == ref, (sm.table, lam)
+    meet = ref if ref is OutOfDomain else ref is not None
+    assert _outcome(in_D_phi, sm, lam) == meet, (sm.table, lam)
+    assert _outcome(in_D_phi, sm, iter(lam)) == meet, (sm.table, lam)
+    for x in lam:
+        res = _outcome(orbit, sm, x)
+        if res is not OutOfDomain:
+            res = (tuple(res.tail), tuple(res.cycle))
+        assert res == _outcome(_ref_orbit, sm, x), (sm.table, x)
 
 
 # ---------------------------------------------------------------------------
