@@ -256,10 +256,18 @@ def _tables(n: int) -> list[FiniteTable]:
     return _TABLES[n]
 
 
-def _corpus(cfg: SuiteConfig) -> list[DescribedNatMap]:
-    maps = list(named_corpus().values())
-    maps += [random_described_map(cfg.seed + i) for i in range(cfg.samples)]
-    return maps
+# (seed, samples) -> the named and seeded described maps, cleared with
+# _TABLES: each check reads the same map objects, so the caches hit by identity
+_CORPORA: dict[tuple[int, int], tuple[DescribedNatMap, ...]] = {}
+
+
+def _corpus(cfg: SuiteConfig) -> tuple[DescribedNatMap, ...]:
+    """The named corpus and ``cfg.samples`` seeded maps, built once per suite run."""
+    key = (cfg.seed, cfg.samples)
+    if key not in _CORPORA:
+        seeded = (random_described_map(cfg.seed + i) for i in range(cfg.samples))
+        _CORPORA[key] = (*named_corpus().values(), *seeded)
+    return _CORPORA[key]
 
 
 def _subsets_upto(points, max_size):
@@ -361,16 +369,19 @@ def _check_intersection_is_shared_orbit(cfg: SuiteConfig) -> _Recorder:
         maps += _tables(n)
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(9)
+        ups: dict[int, frozenset[int]] = {}  # each point's orbit up to the window
+
+        def up(a: int) -> frozenset[int]:
+            if a not in ups:
+                ups[a] = orbits_mod.orbit_profile(sm, a).points_upto(cfg.window)
+            return ups[a]
+
         for istar in _subsets_upto(pts, 3):
             z = orbits_mod.xi(sm, istar)
             if z is None:
                 continue
-            common = None
-            for a in istar:
-                up = orbits_mod.orbit_profile(sm, a).points_upto(cfg.window)
-                common = up if common is None else common & up
-            shared = orbits_mod.orbit_profile(sm, z.point).points_upto(cfg.window)
-            rec.check(common == shared, sm, istar=istar, point=z.point)
+            common = frozenset.intersection(*map(up, istar))
+            rec.check(common == up(z.point), sm, istar=istar, point=z.point)
     return rec
 
 
@@ -440,10 +451,9 @@ def _check_shared_point_minimality(cfg: SuiteConfig) -> _Recorder:
             if z is None:
                 continue
             bound = max(60, z.point + 20)
-            common = None
-            for a in istar:
-                up = orbits_mod.orbit_profile(sm, a).points_upto(bound)
-                common = up if common is None else common & up
+            common = frozenset.intersection(
+                *(orbits_mod.orbit_profile(sm, a).points_upto(bound) for a in istar)
+            )
             # a finite orbit that closes before meeting a common point fails
             ok = z.point in common and all(walks[a].reaches(common) for a in istar)
             if ok:
@@ -467,10 +477,13 @@ def _check_quasi_oracle(cfg: SuiteConfig) -> _Recorder:
         sets = []
         for mask in range(1, 1 << n):
             lam = tuple(x for x in range(n) if mask >> x & 1)
-            sets.append((mask, lam, [1 << x for x in lam]))
+            bits = [1 << x for x in lam]
+            # the masks of the removal sets of each size up to two, by size
+            removals = [[sum(p) for p in itertools.combinations(bits, size)] for size in range(3)]
+            sets.append((mask, lam, bits, removals))
         for sm in _tables(n):
             table = sm.table
-            for mask, lam, bits in sets:
+            for mask, lam, bits, removals in sets:
                 # escapes: the points of lam whose image leaves it; img: the image
                 esc = img = 0
                 for x, bit in zip(lam, bits):
@@ -484,8 +497,8 @@ def _check_quasi_oracle(cfg: SuiteConfig) -> _Recorder:
                 fewest = next(
                     (
                         size
-                        for size in range(3)
-                        if any(esc & ~sum(p) == 0 for p in itertools.combinations(bits, size))
+                        for size, masks in enumerate(removals)
+                        if any(esc & ~removed == 0 for removed in masks)
                     ),
                     3,
                 )
@@ -978,4 +991,5 @@ def run_theorem_suite(config: SuiteConfig = SuiteConfig()) -> SuiteReport:
             results.append(CheckResult(check_id, description, rec.instances, rec.failures, seconds))
     finally:
         _TABLES.clear()  # so a run at n_max = 6 holds none of its tables afterwards
+        _CORPORA.clear()
     return SuiteReport(config, results)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -1049,14 +1049,35 @@ def _table_xi(g: TableGraph, istar: tuple[int, ...]) -> XiResult | None:
     return XiResult(w, {a: depth[a] + (q - pos[a]) % period for a in istar})
 
 
-def in_D_phi(sm: SelfMap, istar: tuple[int, ...]) -> bool:
+def in_D_phi(sm: SelfMap, istar: Iterable[int]) -> bool:
     """True iff the orbits of the elements of ``istar`` share a common point:
-    on a finite table, iff they lead to one cycle."""
-    if isinstance(sm, FiniteTable) and (istar := tuple(istar)):
+    on a finite table, iff they lead to one cycle.
+
+    On a described map no minimizer is sought.  A finite and an infinite
+    orbit never meet.  Finite orbits meet iff the first orbit's cycle entry
+    ``point_at(mu)`` lies on every other: a common point's orbit holds the
+    cycle of each orbit through it, and an orbit has one cycle.  Infinite
+    orbits meet iff every tail run lies on the first one's progression, one
+    run's first point on the other run (the lemma in ``xi``'s docstring).
+    """
+    istar = tuple(istar)
+    if not istar:
+        raise ValueError("in_D_phi needs a nonempty set")
+    if isinstance(sm, FiniteTable):
         sm._table_on(istar)
         comp = table_graph(sm).comp
         return len({comp[a] for a in istar}) == 1
-    return xi(sm, istar) is not None
+    first, *rest = [orbit_profile(sm, a) for a in istar]
+    if any(p.finite != first.finite for p in rest):
+        return False
+    if first.finite:
+        entry = first.point_at(first.mu)
+        return all(entry in p for p in rest)
+    t0 = first.tail_run
+    return all(
+        t0.step_of(p.tail_run.v0) is not None or p.tail_run.step_of(t0.v0) is not None
+        for p in rest
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -530,15 +530,20 @@ def has_full_orbit(sm: SelfMap) -> Optional[int]:
     preimage, so the start must be the unique point without preimage, and
     candidates are pinned down exactly and then verified by coverage.  A
     table with no such point is a permutation, whose full orbit, if any, is
-    one cycle through 0.  On a table the start's orbit length is its depth
-    plus its period, read off the table's graph (``orbits.TableGraph``).
+    one cycle through 0.  On a table the start's orbit is walked, each point
+    marked, until it closes; no graph is built and no profile kept.
     """
     if isinstance(sm, FiniteTable):
-        unhit = set(range(sm.size)).difference(sm.table)
+        table = sm.table
+        unhit = set(range(sm.size)).difference(table)
         if len(unhit) > 1:
             return None
-        start = min(unhit, default=0)
-        return start if orbit_profile(sm, start).length == sm.size else None
+        start = x = min(unhit, default=0)
+        seen = bytearray(sm.size)
+        while not seen[x]:
+            seen[x] = 1
+            x = table[x]
+        return None if 0 in seen else start
     if not all_orbits_infinite(sm):
         return None
     m, n0 = sm.modulus, sm.prefix_len

@@ -71,9 +71,10 @@ def internal_quasi_invariant(
         pts = candidates = set(lam)
         # a finite table is read directly after one domain check
         f = sm._table_on(pts).__getitem__ if isinstance(sm, FiniteTable) else sm
-    escapes = tuple(sorted(x for x in candidates if f(x) not in pts))
+    escapes = [x for x in candidates if f(x) not in pts]
+    escapes.sort()
     if len(escapes) <= k:
-        return QuasiInvarianceReport(True, "internal", escapes)
+        return QuasiInvarianceReport(True, "internal", tuple(escapes))
     return QuasiInvarianceReport(False, "internal", None)
 
 
@@ -93,8 +94,12 @@ def external_quasi_invariant(
         excess = tuple(sorted(y for y in images if y not in lam))
     else:
         pts = set(lam)
-        f = sm._table_on(pts).__getitem__ if isinstance(sm, FiniteTable) else sm
-        excess = tuple(sorted(set(map(f, pts)) - pts))
+        if isinstance(sm, FiniteTable):
+            table = sm._table_on(pts)
+            images = {table[x] for x in pts}
+        else:
+            images = set(map(sm, pts))
+        excess = tuple(sorted(images - pts))
     return QuasiInvarianceReport(len(excess) <= k, "external", excess)
 
 

@@ -148,6 +148,11 @@ def _xi_first_orbit_earliest(sm, istar, real=orbits_mod.xi):
     return XiResult(z, {a: orbits_mod.hitting_time(sm, a, z) for a in istar})
 
 
+def _in_D_phi_accepts_mixed(sm, istar, real=orbits_mod.in_D_phi):
+    """Also True on a set whose orbits are of both classes."""
+    return real(sm, istar) or len({orbits_mod.orbit_profile(sm, a).finite for a in istar}) > 1
+
+
 def _union_drops_largest(sm, istar, h=(), real=supersets_mod.build_G_orbit_union):
     return real(sm, istar, h)[:-1]
 
@@ -164,6 +169,10 @@ ROUTE_MUTANTS = {
     "xi keeps the first orbit's earliest common point": (
         orbits_mod, "xi", _xi_first_orbit_earliest,
         "shared-point-minimality", {"n_max": 3, "samples": 10},
+    ),
+    "in_D_phi accepts mixed orbit classes": (
+        orbits_mod, "in_D_phi", _in_D_phi_accepts_mixed,
+        "shared-point-class-purity", {"n_max": 3, "samples": 10},
     ),
     "interval selector returns lo": (
         classify_mod.IntervalWitnessSelector, "choose", lambda self, lo, hi: lo,
@@ -188,3 +197,4 @@ def test_rewritten_routes_catch_mutants(label):
     assert all(f == json.loads(json.dumps(f)) for f in failures), label
     assert run_theorem_suite(cfg).passed, label
     assert not oracle_mod._TABLES, "the suite's table memo outlives its run"
+    assert not oracle_mod._CORPORA, "the suite's corpus memo outlives its run"

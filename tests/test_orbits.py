@@ -1,5 +1,7 @@
 """Orbit decomposition, certificates, hitting times, intersection, and the shared point."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from strategies import descending_maps, finite_maps, nat_maps
@@ -7,6 +9,7 @@ from strategies import descending_maps, finite_maps, nat_maps
 from quasinv import (
     DescribedNatMap,
     FiniteTable,
+    GenParams,
     Listing,
     OrbitTooLong,
     check_p_tilde,
@@ -15,6 +18,7 @@ from quasinv import (
     named_map,
     orbit,
     orbits_intersect,
+    random_described_map,
     solve_P1,
     xi,
 )
@@ -99,6 +103,24 @@ def test_xi_absent_on_disjoint_orbits():
     assert in_D_phi(SHIFT2, (0, 1)) is False
     assert in_D_phi(ZERO_FIX, (0, 1)) is False
     assert in_D_phi(SUCC, (0, 4, 9)) is True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.builds(
+        GenParams, st.integers(0, 4), st.integers(1, 3), st.integers(0, 3), st.integers(0, 12)
+    ),
+    st.lists(st.integers(0, 11), min_size=1, max_size=6, unique=True),
+)
+def test_in_D_phi_matches_xi_on_described_maps(seed, params, points):
+    # in_D_phi decides existence without xi's minimizer search; every set of
+    # at most three of the drawn points
+    sm = random_described_map(seed, params)
+    for s in itertools.chain.from_iterable(itertools.combinations(points, k) for k in (1, 2, 3)):
+        meet = xi(sm, tuple(s)) is not None
+        assert in_D_phi(sm, tuple(s)) == meet, (sm, s)
+        assert in_D_phi(sm, iter(s)) == meet, (sm, s)
 
 
 def test_p_tilde():

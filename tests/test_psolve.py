@@ -33,6 +33,7 @@ from quasinv.orbits import (
     orbit_profile,
     orbit_summary,
     shift_magnitude,
+    table_graph,
     tail_structure,
 )
 from quasinv.oracle import enumerate_finite_maps
@@ -474,6 +475,22 @@ def test_full_orbit_on_every_small_table():
     for n in range(1, 6):
         for sm in enumerate_finite_maps(n):
             assert has_full_orbit(sm) == _full_orbit_by_every_start(sm), sm.table
+
+
+def test_full_orbit_on_a_table_walks_one_candidate():
+    # tables no other test builds: the walk from the one candidate marks
+    # points until it closes, and neither a graph nor a profile is cached
+    n = 3000
+    path = FiniteTable(tuple(max(x - 1, 0) for x in range(n)))
+    two_cycles = FiniteTable(tuple((x + 2) % n for x in range(n)))
+    rho = FiniteTable(tuple(x + 1 if x < n - 1 else n // 2 for x in range(n)))
+    graphs, profiles = table_graph.cache_info(), orbit_profile.cache_info()
+    assert has_full_orbit(path) == n - 1
+    assert has_full_orbit(two_cycles) is None
+    assert has_full_orbit(rho) == 0
+    assert table_graph.cache_info().currsize == graphs.currsize
+    assert table_graph.cache_info().misses == graphs.misses
+    assert orbit_profile.cache_info().misses == profiles.misses
 
 
 def test_indivisibility_succ():
