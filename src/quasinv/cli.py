@@ -17,15 +17,13 @@ import os
 import sys
 from bisect import bisect_left
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import classify as classify_mod
-from . import oracle as oracle_mod
-from . import orbits as orbits_mod
-from . import psolve as psolve_mod
-from . import quasi as quasi_mod
-from . import supersets as supersets_mod
 from .errors import InfiniteOrbitError, OrbitTooLong, QuasinvError
 from .selfmap import NAMED_MAPS, FiniteTable, SelfMap, named_map, parse_map
+
+if TYPE_CHECKING:
+    from .orbits import OrbitProfile
 
 DEFAULT_WINDOW = 200
 # Long listings (an orbit's points, a window's points or edges) are written
@@ -80,7 +78,7 @@ def _write_list(out, blocks) -> None:
     out.write("]")
 
 
-def _write_omitted(out, profile: orbits_mod.OrbitProfile, w: int) -> None:
+def _write_omitted(out, profile: OrbitProfile, w: int) -> None:
     """Write the points of [0, w] off the orbit, as a Python list, block by
     block: each block drops the slices of the orbit's ascending runs and
     walked points that fall in it."""
@@ -101,9 +99,10 @@ def _write_omitted(out, profile: orbits_mod.OrbitProfile, w: int) -> None:
 
 
 def _cmd_orbit(args) -> int:
+    from . import orbits
     sm = _load_map(args.map)
     w = _window(args)
-    res = orbits_mod.orbit(sm, args.point)
+    res = orbits.orbit(sm, args.point)
     out = sys.stdout
     if res.is_finite:
         for label, pts in (("finite tail=", res.tail), (" cycle=", res.cycle)):
@@ -117,18 +116,19 @@ def _cmd_orbit(args) -> int:
             f"infinite entry={cert.entry_height} "
             f"residue_cycle={list(cert.residue_cycle)} drift={cert.drift}"
         )
-        _write_omitted(out, orbits_mod.orbit_profile(sm, args.point), w)
+        _write_omitted(out, orbits.orbit_profile(sm, args.point), w)
     return 0
 
 
 def _cmd_qi(args) -> int:
+    from . import quasi
     sm = _load_map(args.map)
     if args.interval is not None:
         lo, hi = args.interval
         lam = range(lo, hi + 1)
     else:
         lam = _parse_points(args.set)
-    fn = quasi_mod.internal_quasi_invariant if args.internal else quasi_mod.external_quasi_invariant
+    fn = quasi.internal_quasi_invariant if args.internal else quasi.external_quasi_invariant
     rep = fn(sm, lam, args.k)
     if rep.holds:
         label = "P" if args.internal else "excess"
@@ -139,10 +139,11 @@ def _cmd_qi(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import classify
     sm = _load_map(args.map)
     top = sm.size if isinstance(sm, FiniteTable) else 4
     if args.subsets:
-        res = classify_mod.classify_subsets_1qi(sm)
+        res = classify.classify_subsets_1qi(sm)
         if res is None:
             print("absent")
             return 1
@@ -153,7 +154,7 @@ def _cmd_classify(args) -> int:
             print(f"w({_fmt_set(pts)}) = {sel.choose(pts)}")
         return 0
     if args.strict:
-        res = classify_mod.classify_strict_intervals_1qi(sm)
+        res = classify.classify_strict_intervals_1qi(sm)
         if res is None:
             print("absent")
             return 1
@@ -162,7 +163,7 @@ def _cmd_classify(args) -> int:
         else:
             print(f"pivot n_star={res.n_star} u={res.u}")
         return 0
-    res = classify_mod.classify_intervals_1qi(sm)
+    res = classify.classify_intervals_1qi(sm)
     if res is None:
         print("absent")
         return 1
@@ -175,11 +176,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_superset(args) -> int:
+    from . import supersets
     sm = _load_map(args.map)
     istar = _parse_points(args.istar)
     extra = _parse_points(args.h) if args.h else ()
     try:
-        g = supersets_mod.build_G_orbit_union(sm, istar, extra)
+        g = supersets.build_G_orbit_union(sm, istar, extra)
     except InfiniteOrbitError as exc:
         print(f"infinite orbit at {exc.point}")
         return 1
@@ -188,8 +190,9 @@ def _cmd_superset(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import psolve
     sm = _load_map(args.map)
-    sol = psolve_mod.solve_P1(sm) if args.p1 else psolve_mod.solve_P2(sm)
+    sol = psolve.solve_P1(sm) if args.p1 else psolve.solve_P2(sm)
     if sol is None:
         print("absent")
         return 1
@@ -206,14 +209,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = oracle_mod.SuiteConfig(
+    from . import oracle
+    cfg = oracle.SuiteConfig(
         theorems=tuple(args.theorem) if args.theorem else None,
         n_max=args.n,
         window=_window(args),
         samples=args.samples,
         seed=args.seed,
     )
-    report = oracle_mod.run_theorem_suite(cfg)
+    report = oracle.run_theorem_suite(cfg)
     if args.json:
         print(report.to_json(timings=True))
     else:

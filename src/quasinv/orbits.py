@@ -947,6 +947,13 @@ def _on_all(profs: list[OrbitProfile], y: int) -> bool:
     return True
 
 
+def _tails_meet(r: _Run, s: _Run) -> bool:
+    """Do the infinite orbits with tail runs ``r`` and ``s`` meet?  Iff
+    one run's first point lies on the other (the lemma in ``xi``'s
+    docstring); either run may be the one that starts higher."""
+    return r.step_of(s.v0) is not None or s.step_of(r.v0) is not None
+
+
 def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
     """Sum-of-hitting-times-minimal common point of the orbits over ``istar``.
 
@@ -983,9 +990,8 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
         return None
     if finiteness == {False}:
         t0 = profs[0].tail_run
-        for p in profs[1:]:
-            if t0.step_of(p.tail_run.v0) is None and p.tail_run.step_of(t0.v0) is None:
-                return None
+        if not all(_tails_meet(t0, p.tail_run) for p in profs[1:]):
+            return None
         best = next((a for a in istar if _on_all(profs, a)), None)
         if best is not None:
             return XiResult(best, {a: p.hitting(best) for a, p in zip(istar, profs)})
@@ -1073,11 +1079,7 @@ def in_D_phi(sm: SelfMap, istar: Iterable[int]) -> bool:
     if first.finite:
         entry = first.point_at(first.mu)
         return all(entry in p for p in rest)
-    t0 = first.tail_run
-    return all(
-        t0.step_of(p.tail_run.v0) is not None or p.tail_run.step_of(t0.v0) is not None
-        for p in rest
-    )
+    return all(_tails_meet(first.tail_run, p.tail_run) for p in rest)
 
 
 # ---------------------------------------------------------------------------

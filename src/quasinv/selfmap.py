@@ -75,9 +75,10 @@ class FiniteTable:
         [0, n): callers then index it, and the graph's arrays, directly, and
         no point is read from an array's end."""
         table = self.table
+        n = len(table)
         for x in points:  # a loop: cheaper than min and max on a few points
-            if not 0 <= x < len(table):
-                raise OutOfDomain(f"{x} is outside [0, {len(table)})")
+            if not 0 <= x < n:
+                raise OutOfDomain(f"{x} is outside [0, {n})")
         return table
 
     def iterate(self, x: int, k: int) -> int:

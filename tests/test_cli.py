@@ -276,6 +276,60 @@ def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch):
     assert reused[10][0] == 2 and reused[11][0] == 0
 
 
+# Each script runs in a fresh interpreter, so that modules imported by other
+# tests cannot hide a submodule loaded too early.
+_LAZY_IMPORTS = {
+    "import-loads-no-submodule": """
+import sys, quasinv
+loaded = sorted(m for m in sys.modules if m.startswith("quasinv."))
+assert not loaded, loaded
+""",
+    "orbit-loads-neither-oracle-nor-classify": """
+import contextlib, io, sys
+from quasinv.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["orbit", "succ", "3"]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("quasinv."))
+assert "quasinv.oracle" not in loaded and "quasinv.classify" not in loaded, loaded
+""",
+    "verify-loads-oracle": """
+import contextlib, io, sys
+from quasinv.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--theorem", "orbit-dichotomy-finite", "--n", "2"]) == 0
+assert "quasinv.oracle" in sys.modules
+""",
+    "exports-are-their-submodules-objects": """
+import importlib, quasinv
+assert quasinv.orbit is quasinv.orbits.orbit
+for name in quasinv.__all__:
+    module = importlib.import_module("quasinv." + quasinv._MODULE_OF[name])
+    assert getattr(quasinv, name) is getattr(module, name), name
+star = {}
+exec("from quasinv import *", star)
+assert set(star) - {"__builtins__"} == set(quasinv.__all__)
+""",
+    "dir-lists-exports-and-unknown-names-raise": """
+import quasinv
+assert set(quasinv.__all__) <= set(dir(quasinv))
+try:
+    quasinv.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("quasinv.no_such_name resolved")
+""",
+}
+
+
+@pytest.mark.parametrize("script", _LAZY_IMPORTS.values(), ids=_LAZY_IMPORTS)
+def test_submodules_load_on_first_use(script):
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_window_outputs_across_blocks(capsys, map_file):
     sm = DescribedNatMap((7, 0, 9), 3, (3, -1, 2))  # every orbit climbs by 3 in class 0
     path, w = map_file(sm), 2 * BLOCK_POINTS + 5
