@@ -392,10 +392,11 @@ def _check_class_purity(cfg: SuiteConfig) -> _Recorder:
         maps += _tables(n)
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(11)
+        finite = [orbits_mod.orbit_profile(sm, a).finite for a in pts]  # each point's class
         for istar in _subsets_upto(pts, 3):
             if not orbits_mod.in_D_phi(sm, istar):
                 continue
-            classes = {orbits_mod.orbit_profile(sm, a).finite for a in istar}
+            classes = {finite[a] for a in istar}
             rec.check(len(classes) == 1, sm, istar=istar)
     return rec
 

@@ -19,13 +19,17 @@ OrbitTooLong.
 
 A finite table is decomposed once (``TableGraph``): every point's cycle,
 depth and entry, and an O(1) reachability test; its orbit queries read that.
+The graphs are the only cache that holds tables, and it is bounded by bytes
+(``TABLE_GRAPH_BYTES``); the other caches are keyed by described maps.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from array import array
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,17 +38,22 @@ from typing import NamedTuple
 from .errors import OrbitTooLong, OutOfDomain
 from .selfmap import DescribedNatMap, FiniteTable, SelfMap
 
-# Bounds of the library caches, in entries.  Each lies above the working set
-# of the benchmark run that needs the most entries, so no workload evicts:
-# the theorem suite at its defaults ("suite") and one repetition of the
-# "queries" workload, which asks its battery about 400 maps twice.
+# Bounds of the library caches.  Each lies above the working set of the
+# benchmark run that needs the most, so no workload evicts: the theorem suite
+# at its defaults ("suite") and one repetition of the "queries" workload,
+# which asks its battery about 400 maps twice.  The entry-bounded caches are
+# keyed by described maps only; a finite table's derived data lives in one
+# graph per table, in a cache bounded by bytes.
 TAIL_STRUCTURE_CACHE = 1024  # maps: 98 in the suite, 400 per queries repetition
-TABLE_GRAPH_CACHE = 4096  # finite tables: 3,413 in the suite (every table with n <= 5), none in queries
-# (map, start) pairs.  A described map's entry holds a walked profile, a
-# table's an O(1) view over its TableGraph, so a large table costs its graph
-# once, not a listing per start.
-PROFILE_CACHE = 32768  # 18,129 in the suite (16,739 of them tables), about 6.5k per queries repetition
-VERDICT_CACHE = 1024  # maps asked all_orbits_infinite: 98 in the suite, 400 per queries repetition
+# Graphs of finite tables, in the bytes charged to them (``_graph_bytes``):
+# a graph is O(n), so an entry bound would hold any number of bytes.  The
+# suite's 3,413 graphs (every table with n <= 5) are charged about 4.2 MB, and
+# a random 10^5-entry table's about 5.6 MB; queries builds none.
+TABLE_GRAPH_BYTES = 16 << 20
+# (described map, start) pairs, a walked profile each.  A table's profile is
+# an O(1) view built from its graph on each call, which no cache holds.
+PROFILE_CACHE = 32768  # 1,390 in the suite, about 6.5k per queries repetition
+VERDICT_CACHE = 1024  # described maps asked all_orbits_infinite: 98 in the suite, 400 per queries repetition
 
 # ---------------------------------------------------------------------------
 # Residue structure of a described map's tail
@@ -160,6 +169,10 @@ def lock_height(sm: DescribedNatMap) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the unsigned array types, narrowest first, each with the least value it cannot hold
+_ARRAY_TOPS = [(c, 1 << 8 * array(c).itemsize) for c in "BHIL"]
+
+
 class TableGraph:
     """The functional graph of a finite table, decomposed once in O(n).
 
@@ -178,7 +191,7 @@ class TableGraph:
     O(1) test.
     """
 
-    __slots__ = ("table", "comp", "depth", "pos", "pre", "post", "cycles")
+    __slots__ = ("table", "comp", "depth", "pos", "pre", "post", "cycles", "__weakref__")
 
     def __init__(self, table: tuple[int, ...]):
         n = len(table)
@@ -218,7 +231,7 @@ class TableGraph:
                 clock += size[x]
             free[x] = pre[x] + 1
         # each entry lies in [0, n], so the narrowest unsigned array holds them
-        code = "B" if n < 1 << 8 else "H" if n < 1 << 16 else "L"
+        code = next(c for c, top in _ARRAY_TOPS if n < top)
         self.table, self.cycles = table, tuple(cycles)
         self.comp, self.depth, self.pos = array(code, comp), array(code, depth), array(code, pos)
         self.pre = array(code, pre)
@@ -257,9 +270,85 @@ class TableGraph:
         return x
 
 
-@lru_cache(maxsize=TABLE_GRAPH_CACHE)
+# table_graph.cache_info(): lookups that found a kept graph and that built
+# one, the graphs kept, the bytes charged to them and TABLE_GRAPH_BYTES
+GraphCacheInfo = namedtuple("GraphCacheInfo", "hits misses currsize nbytes maxbytes")
+_graphs: dict[FiniteTable, TableGraph] = {}
+_graph_hits = _graph_misses = _graph_nbytes = 0
+_INT_BYTES = sys.getsizeof(1 << 29)  # an int object below 2^30
+
+
+def _entry_bytes() -> int:
+    """What every kept graph holds beyond its data: the key (a table object,
+    its attribute dict and its hash), the graph object, and a dict entry
+    (hash, key, value) with its index, about 48 bytes at two thirds load."""
+    key = FiniteTable((0,))
+    parts = (key, key.__dict__, hash(key), TableGraph.__new__(TableGraph))
+    return sum(map(sys.getsizeof, parts)) + 48
+
+
+_ENTRY_BYTES = _entry_bytes()
+
+
+def _graph_bytes(g: TableGraph) -> int:
+    """The bytes a kept graph holds alive: a fixed amount per entry
+    (``_entry_bytes``), the table tuple and its ints above 256 (the smaller
+    ones are shared by the interpreter), the five arrays and the cycles.  A
+    cycle's points are the table's ints, but for at most one per cycle, the
+    start of the walk that closed it."""
+    table, cycles = g.table, g.cycles
+    return (
+        _ENTRY_BYTES
+        + sum(map(sys.getsizeof, (table, g.comp, g.depth, g.pos, g.pre, g.post, cycles)))
+        + sum(map(sys.getsizeof, cycles))
+        + _INT_BYTES * (sum(map((256).__lt__, table)) + len(cycles))
+    )
+
+
 def table_graph(sm: FiniteTable) -> TableGraph:
-    return TableGraph(sm.table)
+    """The table's graph, built on the first call and kept while the graphs
+    kept fit in ``TABLE_GRAPH_BYTES``.  A graph that would overflow the
+    budget clears the cache before it is kept; one larger than the whole
+    budget is returned and not kept.
+
+    A hit, one dict lookup with no key tuple built and a counter, costs
+    what an lru_cache's does, about 155 ns (2-vCPU guest, Python 3.11).
+    ``cache_info()`` and ``cache_clear()`` work as an lru_cache's.
+    """
+    global _graph_hits
+    try:
+        g = _graphs[sm]
+    except KeyError:
+        return _build_graph(sm)
+    _graph_hits += 1
+    return g
+
+
+def _build_graph(sm: FiniteTable) -> TableGraph:
+    global _graph_misses, _graph_nbytes
+    _graph_misses += 1
+    g = TableGraph(sm.table)
+    size = _graph_bytes(g)
+    if size <= TABLE_GRAPH_BYTES:
+        if _graph_nbytes + size > TABLE_GRAPH_BYTES:
+            _graphs.clear()
+            _graph_nbytes = 0
+        _graphs[sm] = g
+        _graph_nbytes += size
+    return g
+
+
+def _graph_cache_info() -> GraphCacheInfo:
+    return GraphCacheInfo(_graph_hits, _graph_misses, len(_graphs), _graph_nbytes, TABLE_GRAPH_BYTES)
+
+
+def _graph_cache_clear() -> None:
+    global _graph_hits, _graph_misses, _graph_nbytes
+    _graphs.clear()
+    _graph_hits = _graph_misses = _graph_nbytes = 0
+
+
+table_graph.cache_info, table_graph.cache_clear = _graph_cache_info, _graph_cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +522,8 @@ class TableOrbit:
     answers of a finite orbit and holds no point of it: membership and
     hitting times are the graph's O(1) tests, and a listing walks the table
     from the start over the tail, then slices the cycle from its entry.
+    ``orbit_profile`` builds one on each call and no cache holds it, so a
+    view keeps its graph alive only while its caller holds the view.
     """
 
     __slots__ = ("sm", "start", "mu", "length", "_graph", "_cycle", "_at")
@@ -690,13 +781,38 @@ class OrbitProfile:
         return len(ph.residues) == self.sm.modulus and ph.drift == self.sm.modulus
 
 
+def _described_cache(cached):
+    """Decorator for a public function that answers a described map from
+    ``cached``, an lru_cache, and a finite table without it, so no
+    entry-bounded cache keeps a table alive.  It takes the cache's
+    ``cache_info`` and ``cache_clear``, and as ``__wrapped__`` the uncached
+    function on described maps.  Such a function tests ``sm.__class__ is not
+    DescribedNatMap`` first: about 40 ns on a described map's call, where
+    ``isinstance`` costs 65 (2-vCPU guest, Python 3.11)."""
+
+    def expose(public):
+        public.cache_info, public.cache_clear = cached.cache_info, cached.cache_clear
+        public.__wrapped__ = cached.__wrapped__
+        return public
+
+    return expose
+
+
 @lru_cache(maxsize=PROFILE_CACHE)
-def orbit_profile(sm: SelfMap, x: int) -> OrbitProfile | TableOrbit:
-    if isinstance(sm, FiniteTable):
-        return TableOrbit(sm, x)
+def _described_profile(sm: DescribedNatMap, x: int) -> OrbitProfile:
     if x < 0:
         raise OutOfDomain(f"{x} is not a natural number")
     return OrbitProfile(sm, x)
+
+
+@_described_cache(_described_profile)
+def orbit_profile(sm: SelfMap, x: int) -> OrbitProfile | TableOrbit:
+    """The profile of x's orbit: a described map's is walked once and
+    cached; a finite table's is a view (``TableOrbit``), built in O(1) from
+    the table's graph on each call."""
+    if sm.__class__ is not DescribedNatMap and isinstance(sm, FiniteTable):
+        return TableOrbit(sm, x)
+    return _described_profile(sm, x)
 
 
 def _check_walked_links(sm: SelfMap, pts: Sequence[int], nxt: int) -> None:
@@ -748,21 +864,14 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
 
     ``tail`` and ``cycle`` are the Listings of steps [0, mu) and [mu, n), so
     the result costs O(segments) and lists no point.  A finite table's orbit
-    is a view (``TableOrbit``) with no segments of its own: every point it
-    lists is checked in the table, and ``tail`` and ``cycle`` are slices of
-    that listing, the tuples a Listing would compare equal to.
+    is read from its graph (``_table_orbit``).
     """
+    if isinstance(sm, FiniteTable):
+        return _table_orbit(sm, x)
     prof = orbit_profile(sm, x)
     n, mu = prof.length, prof.mu
     if prof.finite and n > MAX_LISTED_POINTS:
         raise OrbitTooLong(x, n, MAX_LISTED_POINTS)
-    if isinstance(sm, FiniteTable):
-        tail, cycle = prof._parts(0, n)
-        pts, table = (*tail, *cycle) if tail else cycle, sm.table
-        # _check_walked_links in the table; a listed point outside it is
-        # skipped, never read from the table's end, so the images fall short
-        assert [table[p] for p in pts if 0 <= p < len(table)] == [*pts[1:], pts[mu]]
-        return OrbitResult(pts[:mu], pts[mu:])
     if not prof.finite:
         tail = prof.tail_run
         cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
@@ -781,6 +890,30 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     if walked < len(seq):
         _check_walked_links(sm, seq[walked:], prof.point_at(mu))
     return OrbitResult(Listing(prof, 0, mu), Listing(prof, mu, n))
+
+
+def _table_orbit(sm: FiniteTable, x: int) -> OrbitResult:
+    """``orbit`` on a finite table, read from its graph as a ``TableOrbit``
+    lists it, without building the view: the tail walked in the table, then
+    one period of the cycle from its entry.  Every link of that listing is
+    checked in the table, and ``tail`` and ``cycle`` are its slices, the
+    tuples a Listing would compare equal to.  Views are not cached, and
+    building one took about a quarter of an orbit call on a small table."""
+    table = sm._table_on((x,))
+    g = table_graph(sm)
+    mu, cycle, at = g.depth[x], g.cycles[g.comp[x]], g.pos[x]
+    n = mu + len(cycle) // 2
+    if n > MAX_LISTED_POINTS:
+        raise OrbitTooLong(x, n, MAX_LISTED_POINTS)
+    tail = []
+    for _ in range(mu):
+        tail.append(x)
+        x = table[x]
+    pts = (*tail, *cycle[at : at + n - mu])
+    # _check_walked_links in the table; a listed point outside it is
+    # skipped, never read from the table's end, so the images fall short
+    assert [table[p] for p in pts if 0 <= p < len(table)] == [*pts[1:], pts[mu]]
+    return OrbitResult(pts[:mu], pts[mu:])
 
 
 def hitting_time(sm: SelfMap, x: int, y: int) -> int | None:
@@ -1140,15 +1273,21 @@ def least_finite_point(sm: DescribedNatMap, memo: dict[int, OrbitSummary]) -> in
 
 
 @lru_cache(maxsize=VERDICT_CACHE)
+def _described_all_infinite(sm: DescribedNatMap) -> bool:
+    return least_finite_point(sm, {}) is None
+
+
+@_described_cache(_described_all_infinite)
 def all_orbits_infinite(sm: SelfMap) -> bool:
-    """True iff every point of the domain has an infinite orbit.
+    """True iff every point of the domain has an infinite orbit: never on a
+    finite table, whose answer is not cached.
 
     Finiteness over a range of points is read from orbit summaries
     (``least_finite_point``), one walk per trajectory and no profile.
     """
-    if isinstance(sm, FiniteTable):
+    if sm.__class__ is not DescribedNatMap and isinstance(sm, FiniteTable):
         return False
-    return least_finite_point(sm, {}) is None
+    return _described_all_infinite(sm)
 
 
 def exists_cofinite_orbit(sm: DescribedNatMap) -> bool:

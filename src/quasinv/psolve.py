@@ -27,6 +27,7 @@ from .orbits import (
     OrbitProfile,
     OrbitSummary,
     TableGraph,
+    _described_cache,
     _descent_periods,
     all_orbits_infinite,
     check_p_tilde,
@@ -46,8 +47,10 @@ from .supersets import orbit_union
 SCOPE_ALL = "all"
 SCOPE_INFINITE = "infinite_only"
 
-# Bound of the verdict cache, in (map, scope) pairs: 135 in the theorem suite
-# at its defaults, 800 per repetition of the benchmark's "queries" workload.
+# Bound of the verdict cache, in (described map, scope) pairs: 135 in the
+# theorem suite at its defaults, 800 per repetition of the benchmark's
+# "queries" workload.  A finite table's verdict is not cached: it is O(n) from
+# the table's graph, which the graph cache holds.
 TOTAL_ORDER_CACHE = 1024
 
 
@@ -132,20 +135,30 @@ def _descend_entry(sm: DescribedNatMap, y: int, floor: int) -> int:
     return y
 
 
+def _check_scope(scope: str) -> None:
+    if scope not in (SCOPE_ALL, SCOPE_INFINITE):
+        raise ValueError(f"unknown scope {scope!r}")
+
+
 @lru_cache(maxsize=TOTAL_ORDER_CACHE)
+def _described_witness(sm: DescribedNatMap, scope: str) -> Optional[tuple[int, int]]:
+    _check_scope(scope)
+    return _described_total_order_witness(sm, scope)
+
+
+@_described_cache(_described_witness)
 def total_order_witness(sm: SelfMap, scope: str = SCOPE_ALL) -> Optional[tuple[int, int]]:
     """An incomparable in-scope pair, or None when reachability totally orders the scope.
 
     Every negative verdict is certified by a concrete pair; callers can
-    re-verify it with two hitting-time queries.
+    re-verify it with two hitting-time queries.  A described map's verdict
+    is cached; a finite table's is read afresh from its graph.
     """
-    if scope not in (SCOPE_ALL, SCOPE_INFINITE):
-        raise ValueError(f"unknown scope {scope!r}")
-    if isinstance(sm, FiniteTable):
-        if scope == SCOPE_INFINITE:
-            return None
-        return _table_total_order_witness(table_graph(sm))
-    return _described_total_order_witness(sm, scope)
+    if sm.__class__ is not DescribedNatMap and isinstance(sm, FiniteTable):
+        _check_scope(scope)
+        # a finite table has no infinite orbit
+        return None if scope == SCOPE_INFINITE else _table_total_order_witness(table_graph(sm))
+    return _described_witness(sm, scope)
 
 
 def _table_total_order_witness(g: TableGraph) -> Optional[tuple[int, int]]:

@@ -33,6 +33,7 @@ from quasinv.orbits import (
     orbit_summaries,
     orbit_summary,
     p_tilde_witness,
+    table_graph,
     tail_structure,
 )
 
@@ -423,13 +424,15 @@ def test_orbit_checks_every_link_of_the_listing(monkeypatch, wrong):
     listed = prof.points()
     assert listed == (0, 1, 2, 3, 4, 5) and prof.mu == 0
     assert orbit(TWIN_CYCLE, 0).cycle == listed
+    graph = table_graph(TWIN_CYCLE)
+    assert graph.cycles == (listed * 2,)
     # +6 stays in the table; -6 leaves it below 0, where an index would wrap
     # round to p + 6, and +12 leaves it at 12 or above
     for offset in (6, -6, 12):
         corrupt = listed[:wrong] + (listed[wrong] + offset,) + listed[wrong + 1 :]
-        # the view lists its cycle from this tuple, which holds the cycle twice
-        monkeypatch.setattr(prof, "_cycle", corrupt * 2)
-        assert prof.points() == corrupt
+        # each view lists its cycle from the kept graph's, held twice over
+        monkeypatch.setattr(graph, "cycles", (corrupt * 2,))
+        assert orbit_profile(TWIN_CYCLE, 0).points() == corrupt
         with pytest.raises(AssertionError):
             orbit(TWIN_CYCLE, 0)
 

@@ -14,7 +14,7 @@ from quasinv import (
     parse_map,
     serialize_map,
 )
-from quasinv.orbits import orbit_profile
+from quasinv.orbits import orbit_profile, table_graph
 from quasinv.selfmap import map_from_obj, point_index
 
 
@@ -142,5 +142,9 @@ def test_equal_maps_hash_alike_and_share_profiles():
     for a, b in pairs:
         assert a is not b and a == b
         assert hash(a) == hash(b)
-        assert orbit_profile(b, 1) is orbit_profile(a, 1)
+    # a described map's profiles are cached; a table's views share its graph
+    (described, described_too), (table, table_too) = pairs
+    assert orbit_profile(described_too, 1) is orbit_profile(described, 1)
+    assert table_graph(table_too) is table_graph(table)
+    assert orbit_profile(table_too, 1)._graph is orbit_profile(table, 1)._graph
     assert DescribedNatMap((3, 0), 2, (2, -1)) != DescribedNatMap((3, 1), 2, (2, -1))

@@ -2,18 +2,30 @@
 decomposition per table, against a walk of every start's orbit and against
 evaluating the map point by point."""
 
+import gc
 import itertools
 import os
+import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasinv import FiniteTable, OutOfDomain, hitting_time, in_D_phi, orbit, xi
+from quasinv import orbits as orbits_mod
 from quasinv.oracle import enumerate_finite_maps
-from quasinv.psolve import SCOPE_ALL, has_full_orbit, is_total_order, total_order_witness
+from quasinv.orbits import all_orbits_infinite, orbit_profile, table_graph
+from quasinv.psolve import (
+    SCOPE_ALL,
+    SCOPE_INFINITE,
+    has_full_orbit,
+    is_total_order,
+    solve_P2,
+    total_order_witness,
+)
 from quasinv.quasi import external_quasi_invariant, internal_quasi_invariant
 from quasinv.supersets import build_G_orbit_union, check_superset_closure, orbit_union
 
@@ -289,3 +301,100 @@ def test_path_table_queries_run_in_bounded_memory():
     subprocess.run(
         [sys.executable, "-c", PATH_QUERIES, str(2 * 10**4)], env=env, timeout=60, check=True
     )
+
+
+# ---------------------------------------------------------------------------
+# One graph per table, in a cache bounded by bytes
+# ---------------------------------------------------------------------------
+
+
+def test_graph_arrays_are_the_narrowest_that_hold_the_table():
+    # a 10-cycle and a 5-cycle; above them each point steps down by one, but
+    # every thousandth jumps to a random lower point
+    n, rng = 70_000, random.Random(7)
+    table = [(x + 1) % 10 for x in range(10)] + [10 + (x - 9) % 5 for x in range(10, 15)]
+    table += [x - 1 if x % 1000 else rng.randrange(x) for x in range(15, n)]
+    sm = FiniteTable(tuple(table))
+    g = table_graph(sm)
+    # pre and post reach n, above 2^16: four bytes a point, not eight
+    assert {a.itemsize for a in (g.comp, g.depth, g.pos, g.pre, g.post)} == {4}
+    starts = (n - 1, n - 2, n // 2, 12_345, 1_000, 999, 14, 3)
+    firsts = {a: _walk(sm, a)[1] for a in starts}
+    for a in starts:
+        for y in (*starts, 0, 9, 10, 2_000, n - 1000):
+            assert g.hitting(a, y) == firsts[a].get(y), (a, y)
+            assert hitting_time(sm, a, y) == firsts[a].get(y), (a, y)
+    for istar in itertools.combinations(starts, 2):
+        z, ref = xi(sm, istar), _ref_xi(sm, istar)
+        assert (None if z is None else (z.point, tuple(z.hitting_times.values()))) == ref, istar
+
+
+def _fresh_tables(count, n, seed):
+    """Seeded random tables that no other test builds."""
+    rng = random.Random(seed)
+    return [FiniteTable(tuple(rng.randrange(n) for _ in range(n))) for _ in range(count)]
+
+
+def test_table_queries_leave_the_map_caches_alone():
+    caches = (orbit_profile, all_orbits_infinite, total_order_witness)
+    before = [c.cache_info() for c in caches]
+    for sm in _fresh_tables(20, 12, seed=101):
+        for x in range(sm.size):
+            orbit_profile(sm, x).points()
+            orbit(sm, x)
+            hitting_time(sm, x, 0)
+        xi(sm, (0, 5, 11))
+        in_D_phi(sm, (1, 2))
+        all_orbits_infinite(sm)
+        for scope in (SCOPE_ALL, SCOPE_INFINITE):
+            total_order_witness(sm, scope)
+        solve_P2(sm)
+    assert [c.cache_info() for c in caches] == before
+
+
+@pytest.fixture
+def small_graph_budget(monkeypatch):
+    """A 20 kB graph budget over an empty graph cache."""
+    monkeypatch.setattr(orbits_mod, "TABLE_GRAPH_BYTES", 20_000)
+    table_graph.cache_clear()
+    yield 20_000
+    table_graph.cache_clear()
+
+
+def test_graph_cache_charges_stay_within_the_budget(small_graph_budget):
+    tables = dict.fromkeys(_fresh_tables(40, 40, seed=202) + _fresh_tables(40, 3, seed=203))
+    for i, sm in enumerate(tables, 1):
+        g = table_graph(sm)
+        assert table_graph(sm) is g  # kept until the cache next overflows
+        info = table_graph.cache_info()
+        assert info.maxbytes == small_graph_budget
+        assert info.nbytes <= small_graph_budget
+        kept = orbits_mod._graphs.values()
+        assert info.nbytes == sum(map(orbits_mod._graph_bytes, kept))
+        assert (info.hits, info.misses, info.currsize) == (i, i, len(kept))
+    assert table_graph.cache_info().currsize < len(tables)  # the cache overflowed
+
+
+def test_a_graph_above_the_whole_budget_is_returned_but_not_kept(small_graph_budget):
+    small, big = FiniteTable((1, 0)), FiniteTable(tuple(range(1, 3000)) + (0,))
+    kept = table_graph(small)
+    g = table_graph(big)
+    assert orbits_mod._graph_bytes(g) > small_graph_budget
+    assert g.hitting(0, 2999) == 2999 and orbit(big, 0).cycle[:3] == (0, 1, 2)
+    info = table_graph.cache_info()
+    assert (info.misses, info.currsize, info.nbytes) == (3, 1, orbits_mod._graph_bytes(kept))
+    assert table_graph(small) is kept and table_graph(big) is not g
+
+
+def test_a_dropped_tables_graph_dies_with_the_cache():
+    sm = _fresh_tables(1, 30, seed=303)[0]
+    graph = weakref.ref(table_graph(sm))
+    for x in range(sm.size):  # views, verdicts and shared points hold no graph once read
+        orbit_profile(sm, x)
+    xi(sm, (0, 1))
+    total_order_witness(sm, SCOPE_ALL)
+    gc.collect()
+    assert graph() is not None  # the cache keeps it
+    table_graph.cache_clear()
+    gc.collect()
+    assert graph() is None
