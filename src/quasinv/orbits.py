@@ -500,19 +500,19 @@ class _Run(NamedTuple):
         return out
 
 
-def _starts_tail(ph: CyclePhases, x: int, n0: int) -> bool:
-    """Does an infinite orbit's tail start at x, a point at or above the
-    prefix ``n0`` whose residue lies on the cycle ``ph``?  It does when the
-    cycle rises and the run from x never dips below the prefix."""
-    return ph.drift > 0 and x + ph.min_sum >= n0
-
-
-def _descent_periods(ph: CyclePhases, x: int, n0: int) -> int:
-    """How many whole periods a descent from x along the falling cycle
-    ``ph`` stays at or above the prefix ``n0``; 0 when it dips below it
-    within the first."""
-    low = x + ph.min_sum
-    return 0 if low < n0 else (low - n0) // -ph.drift + 1
+def _leg(
+    sm: DescribedNatMap, phases: tuple[CyclePhases | None, ...], y: int, floor: int
+) -> tuple[CyclePhases | None, int]:
+    """How a walk of ``sm`` leaves y, a point at or above ``floor``, itself
+    at or above the prefix: ``(ph, 0)`` when the run from y along its
+    residue cycle ``ph`` rises and never dips below ``floor`` (an infinite
+    orbit's tail), ``(ph, k)`` for a descent along a falling ``ph`` of the
+    k >= 1 whole periods that stay at or above ``floor``, and ``(None, 0)``
+    for one step of the map.  Every orbit walk takes its legs here."""
+    ph = phases[y % sm.modulus]
+    if ph is None or not ph.drift or y + ph.min_sum < floor:
+        return None, 0
+    return ph, 0 if ph.drift > 0 else (y + ph.min_sum - floor) // -ph.drift + 1
 
 
 class TableOrbit:
@@ -553,6 +553,8 @@ class TableOrbit:
     def points(self, n: int | None = None) -> tuple[int, ...]:
         """The orbit's first n points in step order, all of them by default
         or when it has fewer."""
+        if n is not None and n < 0:
+            raise ValueError(f"cannot list {n} points")
         n = self.length if n is None else min(n, self.length)
         tail, cycle = self._parts(0, n)
         return (*tail, *cycle) if tail else cycle
@@ -620,43 +622,31 @@ class OrbitProfile:
             if i is not None:
                 self.finite, self.mu, self.length = True, i, k
                 break
-            ph = phases[x % sm.modulus] if x >= n0 else None
-            if ph is not None and _starts_tail(ph, x, n0):
-                self.tail_run = _Run(k, x, ph, None)
-                self.runs += (self.tail_run,)
-                self.finite, self.length = False, k
-                break
-            if ph is not None and ph.drift < 0:
-                run = self._descent(_Run(k, x, ph, None), n0, seq)
-                if run is not None:
+            ph, periods = _leg(sm, phases, x, n0) if x >= n0 else (None, 0)
+            if ph is not None:
+                run = _Run(k, x, ph, None)
+                if not periods:
+                    self.tail_run = run
                     self.runs += (run,)
-                    x, k = run.at(run.count), k + run.count
-                    continue
+                    self.finite, self.length = False, k
+                    break
+                # the descent stops where it would meet a point already on
+                # the orbit, a walked one or a run top: within a residue cycle
+                # each residue has one predecessor, and the shift rule is
+                # injective on a residue class
+                count = periods * len(ph.sums)
+                for p in itertools.chain(seq, (r.v0 for r in self.runs)):
+                    t = run.step_of(p)
+                    if t is not None and t < count:
+                        count = t
+                self.runs += (run._replace(count=count),)
+                x, k = run.at(count), k + count
+                continue
             index[x] = k
             seq.append(x)
             k += 1
             x = sm(x)
         self.seq = tuple(seq)
-
-    def _descent(self, run: _Run, n0: int, seq: list[int]) -> _Run | None:
-        """The descent from ``run.v0`` as a run, or None when it would not
-        stay above the prefix for one whole period.
-
-        The run takes the whole periods that stay at or above the prefix, and
-        stops where it would meet a point already on the orbit.  The first
-        such point is a walked one or the top of an earlier run: within a
-        residue cycle each residue has one predecessor, and the shift rule
-        is injective on a residue class.
-        """
-        ph = run.phases
-        count = _descent_periods(ph, run.v0, n0) * len(ph.sums)
-        if not count:
-            return None
-        for p in itertools.chain(seq, (r.v0 for r in self.runs)):
-            t = run.step_of(p)
-            if t is not None:
-                count = min(count, t)
-        return run._replace(count=count)
 
     # -- queries ------------------------------------------------------------
 
@@ -686,14 +676,9 @@ class OrbitProfile:
             k = self.mu + (k - self.mu) % (self.length - self.mu)
         if not self.runs or k < self.runs[0].base:
             return self.seq[k]
-        walked = k  # index into seq once the runs before step k are skipped
-        for run in self.runs:
-            if k < run.base:
-                break
-            if run.count is None or k - run.base < run.count:
-                return run.at(k - run.base)
-            walked -= run.count
-        return self.seq[walked]
+        for first, end, i, run in self._segments():
+            if end is None or k < end:
+                return self.seq[i + k - first] if run is None else run.at(k - first)
 
     def points(self, n: int | None = None) -> tuple[int, ...]:
         """The orbit's first n points in step order, all of them when a
@@ -702,6 +687,8 @@ class OrbitProfile:
 
         Raises OrbitTooLong above MAX_LISTED_POINTS points.
         """
+        if n is not None and n < 0:
+            raise ValueError(f"cannot list {n} points")
         if n is None or (self.finite and n > self.length):
             if len(self.seq) == self.length:
                 return self.seq
@@ -712,25 +699,35 @@ class OrbitProfile:
 
     def _parts(self, lo: int, hi: int) -> list[Sequence[int]]:
         """The points at steps lo, ..., hi - 1 in step order as segments:
-        slices of ``seq`` and the runs' listed steps (``_Run.listed``), some
-        perhaps empty.
+        slices of ``seq`` and the runs' listed steps (``_Run.listed``).
 
         Raises OrbitTooLong above MAX_LISTED_POINTS points, before listing.
         """
         if hi - lo > MAX_LISTED_POINTS:
             raise OrbitTooLong(self.start, hi - lo, MAX_LISTED_POINTS)
         parts: list[Sequence[int]] = []
+        for first, end, i, run in self._segments():
+            if first >= hi:
+                break
+            a, b = max(lo - first, 0), (hi if end is None else min(hi, end)) - first
+            if a < b:
+                parts.append(self.seq[i + a : i + b] if run is None else run.listed(a, b))
+        return parts
+
+    def _segments(self) -> Iterator[tuple[int, int | None, int, _Run | None]]:
+        """The orbit's segments in step order, each as (its first step, the
+        step after its last or None, the index in ``seq`` of the first
+        walked point at or after it, its run or None): the nonempty slices of
+        ``seq`` between the runs, and the runs."""
         k = walked = 0  # the step reached, and how many walked points lie before it
         for run in self.runs:
-            if run.base >= hi:
-                break
-            parts.append(self.seq[walked + max(lo - k, 0) : walked + run.base - k])
-            walked += run.base - k
-            k = hi if run.count is None else min(hi, run.base + run.count)
-            if lo < k:
-                parts.append(run.listed(max(lo - run.base, 0), k - run.base))
-        parts.append(self.seq[walked + max(lo - k, 0) : walked + hi - k])
-        return parts
+            if run.base > k:
+                yield k, run.base, walked, None
+                walked += run.base - k
+            k = None if run.count is None else run.base + run.count
+            yield run.base, k, walked, run
+        if k is not None and k < self.length:
+            yield k, self.length, walked, None
 
     def starts(self) -> Iterator[int]:
         """The first point of every segment: each walked point, and each
@@ -842,8 +839,8 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
 
     Every link of a finite orbit is checked against the map, so the result
     raises OrbitTooLong above MAX_LISTED_POINTS points.  The profile's
-    segments are walked in step order, as ``OrbitProfile._parts`` reads
-    them, and each kind of link is checked its own way:
+    segments are walked in step order (``OrbitProfile._segments``), and
+    each kind of link is checked its own way:
 
     * walked points (slices of ``seq``): ``sm`` at each must give the point
       after it;
@@ -879,16 +876,14 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
         return OrbitResult(certificate=cert)
     seq = prof.seq
     k = walked = 0  # the step reached, and how many walked points lie before it
-    for run in prof.runs:
-        if run.base > k:
-            _check_walked_links(sm, seq[walked : walked + run.base - k], run.v0)
-        walked += run.base - k
-        k = run.base + run.count
-        _check_run_links(sm, run, prof.point_at(k))
-    # the walked points left are the steps left: every step is in a segment once
-    assert len(seq) - walked == n - k
-    if walked < len(seq):
-        _check_walked_links(sm, seq[walked:], prof.point_at(mu))
+    for first, k, i, run in prof._segments():
+        if run is None:
+            _check_walked_links(sm, seq[i : i + k - first], prof.point_at(k))
+            walked += k - first
+        else:
+            _check_run_links(sm, run, prof.point_at(k))
+    # every step lies in one segment, and every walked point in a walked one
+    assert len(seq) - walked == n - k == 0
     return OrbitResult(Listing(prof, 0, mu), Listing(prof, mu, n))
 
 
@@ -936,37 +931,32 @@ class OrbitSummary(NamedTuple):
 def _land(
     sm: DescribedNatMap, phases: tuple[CyclePhases | None, ...], y: int
 ) -> tuple[OrbitSummary | None, int | None, int | None]:
-    """One leg of a summary walk, from y: ``(s, None, None)`` when a tail
-    starts at y (``_starts_tail``), s being y's summary; otherwise
-    ``(None, z, top)``, z the next point the walk lands on and top y's
-    largest point before it.  The walk steps to the image, or past a
-    descent's whole periods above the prefix (``_descent_periods``), whose
-    largest point is in its first period."""
+    """One leg (``_leg``) of a summary walk, from y: ``(s, None, None)``
+    when a tail starts at y, s being y's summary; otherwise ``(None, z,
+    top)``, z the next point the walk lands on and top y's largest point
+    before it, a descent's being in its first period."""
     n0 = len(sm.prefix)
     if y < n0:
         return None, sm.prefix[y], y
-    ph = phases[y % sm.modulus]
-    if ph is not None:
-        if _starts_tail(ph, y, n0):
-            top = y + ph.max_sum
-            return OrbitSummary(False, top, ph.residue_set, top), None, None
-        if ph.drift < 0:
-            periods = _descent_periods(ph, y, n0)
-            if periods:
-                return None, y + periods * ph.drift, y + ph.max_sum
-    return None, sm(y), y
+    ph, periods = _leg(sm, phases, y, n0)
+    if ph is None:
+        return None, sm(y), y
+    top = y + ph.max_sum
+    if periods:
+        return None, y + periods * ph.drift, top
+    return OrbitSummary(False, top, ph.residue_set, top), None, None
 
 
 def orbit_summary(sm: DescribedNatMap, x: int, memo: dict[int, OrbitSummary]) -> OrbitSummary:
     """The summary of the orbit of x, from one walk along its trajectory and
     no profile.
 
-    A point that starts a tail (``_starts_tail``) has that tail's threshold
-    and residues, and its top is the threshold; the points of a cycle the
-    walk closes are finite, their top the cycle's largest point; any other
-    point has the summary of the next point the walk lands on (``_land``),
-    with its own top if that is larger.  Like a profile's walk, the walk
-    lands on a number of points bounded by the map and not by the start.
+    A point that starts a tail has that tail's threshold and residues, and
+    its top is the threshold; the points of a cycle the walk closes are
+    finite, their top the cycle's largest point; any other point has the
+    summary of the next point the walk lands on (``_land``), with its own
+    top if that is larger.  The walk takes a profile's legs (``_leg``), so
+    it lands on a number of points bounded by the map and not by the start.
     Landing points follow one another by a fixed rule, so a walk that closes
     lands on a point twice, and between the two it passed every point of the
     cycle.
@@ -989,7 +979,8 @@ def _walk_summary(
     x: int,
     memo: dict[int, OrbitSummary],
 ) -> OrbitSummary:
-    """``orbit_summary``'s walk from x, a point not in ``memo``."""
+    """``orbit_summary``'s walk from x, a point not in ``memo``, one leg
+    (``_land``) per point landed on."""
     path: list[int] = []  # the points landed on
     tops: list[int] = []  # each one's largest point before the next landing
     on_path: dict[int, int] = {}

@@ -28,7 +28,7 @@ from .orbits import (
     OrbitSummary,
     TableGraph,
     _described_cache,
-    _descent_periods,
+    _leg,
     all_orbits_infinite,
     check_p_tilde,
     hitting_time,
@@ -125,12 +125,12 @@ class _ClassGroup:
 
 def _descend_entry(sm: DescribedNatMap, y: int, floor: int) -> int:
     """First trajectory point below ``floor``, a height at or above the
-    prefix; caller guarantees descent.  Whole periods of a falling cycle
-    that stay at or above ``floor`` are skipped at once."""
+    prefix; caller guarantees descent.  The walk takes a profile's legs
+    (``_leg``) with ``floor`` for the prefix, so whole periods of a falling
+    cycle that stay at or above ``floor`` are skipped at once."""
     phases = tail_structure(sm).phases
     while y >= floor:
-        ph = phases[y % sm.modulus]
-        periods = _descent_periods(ph, y, floor) if ph is not None and ph.drift < 0 else 0
+        ph, periods = _leg(sm, phases, y, floor)
         y = y + periods * ph.drift if periods else sm(y)
     return y
 

@@ -409,6 +409,20 @@ def test_listing_limit_is_inclusive(monkeypatch):
     assert orbit_profile(STEP_DOWN, 999).points(5000) == tuple(range(999, -1, -1))
 
 
+@pytest.mark.parametrize(
+    "sm, x",
+    [
+        (FiniteTable((1, 2, 0)), 0),  # a view over the table's graph
+        (DescribedNatMap((1, 2, 0), 1, (1,)), 0),  # walked points only
+        (STEP_DOWN, 5000),  # one descent run
+        (SUCC, 3),  # one tail run
+    ],
+)
+def test_points_rejects_a_negative_count(sm, x):
+    with pytest.raises(ValueError):
+        orbit_profile(sm, x).points(-1)
+
+
 # 0 -> 1 -> ... -> 5 -> 0, and 6 + j -> j + 1: each point of the cycle has a
 # second preimage, so putting p + 6 in the listing for p breaks only the link into p
 TWIN_CYCLE = FiniteTable(tuple((i + 1) % 6 for i in range(12)))

@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, count
 from math import lcm
 from pathlib import Path
 
@@ -14,6 +14,7 @@ from strategies import descending_maps, finite_maps, huge_prefix_maps, nat_maps
 from quasinv import (
     DescribedNatMap,
     FiniteTable,
+    GenParams,
     NotAP2Solution,
     OrbitTooLong,
     StructureViolation,
@@ -23,6 +24,7 @@ from quasinv import (
     indivisibility_check,
     is_total_order,
     named_map,
+    random_described_map,
     solve_P1,
     solve_P2,
 )
@@ -393,6 +395,26 @@ def test_decider_cost_ignores_prefix_values(sm, scope):
         assert x < y and hitting_time(sm, x, y) is None and hitting_time(sm, y, x) is None
         if scope == SCOPE_INFINITE:
             assert not orbit_profile(sm, x).finite and not orbit_profile(sm, y).finite
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 2), st.integers(0, 3000))
+def test_descend_entry_matches_a_step_by_step_walk(seed, pick, lift):
+    # from above the lock height on a residue with a falling fate, the walk
+    # by legs lands on the first point below it, as stepping the map does;
+    # the map is the first from the drawn seed on with such a residue (about
+    # one map in four has one)
+    for seed in count(seed):
+        sm = random_described_map(seed, GenParams(4, 3, 3, 12))
+        ts, floor, m = tail_structure(sm), lock_height(sm), sm.modulus
+        falling = [r for r in range(m) if ts.fate(r).drift < 0]
+        if falling:
+            break
+    r = falling[pick % len(falling)]
+    y = z = floor + (r - floor) % m + lift * m
+    while z >= floor:
+        z = sm(z)
+    assert _descend_entry(sm, y, floor) == z
 
 
 @settings(max_examples=150, deadline=None)
