@@ -228,20 +228,29 @@ class SuiteReport:
 class _Recorder:
     """Counts instances and collects serialized counterexamples.
 
-    A detail may be given as a tuple; a failure records it as a list, as
-    JSON reads it back, so a passing instance pays for no conversion."""
+    ``fail`` is the one failure path: it counts the instance and records its
+    detail.  ``check(ok, sm, **detail)`` counts a pass and hands a failure to
+    ``fail``; a hot loop counts a pass itself (``rec.instances += 1``) and
+    calls ``fail`` only on a failure, so a passing instance builds no keyword
+    dict.  A detail may be given as a tuple; a failure records it as a list,
+    as JSON reads it back, so a passing instance pays for no conversion."""
 
     def __init__(self):
         self.instances = 0
         self.failures: list[dict] = []
 
     def check(self, ok: bool, sm: SelfMap | None = None, **detail) -> None:
+        if ok:
+            self.instances += 1
+        else:
+            self.fail(sm, **detail)
+
+    def fail(self, sm: SelfMap | None = None, **detail) -> None:
         self.instances += 1
-        if not ok:
-            fail = {k: list(v) if isinstance(v, tuple) else v for k, v in detail.items()}
-            if sm is not None:
-                fail["map"] = map_to_obj(sm)
-            self.failures.append(fail)
+        fail = {k: list(v) if isinstance(v, tuple) else v for k, v in detail.items()}
+        if sm is not None:
+            fail["map"] = map_to_obj(sm)
+        self.failures.append(fail)
 
 
 # n -> every table on [0, n), cleared when run_theorem_suite returns: each
@@ -364,6 +373,7 @@ def _check_cofinite_meets(cfg: SuiteConfig) -> _Recorder:
 
 def _check_intersection_is_shared_orbit(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
+    xi, orbit_profile = orbits_mod.xi, orbits_mod.orbit_profile
     maps: list[SelfMap] = list(_corpus(cfg))
     for n in range(1, cfg.n_max + 1):
         maps += _tables(n)
@@ -373,31 +383,36 @@ def _check_intersection_is_shared_orbit(cfg: SuiteConfig) -> _Recorder:
 
         def up(a: int) -> frozenset[int]:
             if a not in ups:
-                ups[a] = orbits_mod.orbit_profile(sm, a).points_upto(cfg.window)
+                ups[a] = orbit_profile(sm, a).points_upto(cfg.window)
             return ups[a]
 
         for istar in _subsets_upto(pts, 3):
-            z = orbits_mod.xi(sm, istar)
+            z = xi(sm, istar)
             if z is None:
                 continue
-            common = frozenset.intersection(*map(up, istar))
-            rec.check(common == up(z.point), sm, istar=istar, point=z.point)
+            if frozenset.intersection(*map(up, istar)) == up(z.point):
+                rec.instances += 1
+            else:
+                rec.fail(sm, istar=istar, point=z.point)
     return rec
 
 
 def _check_class_purity(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
+    in_D_phi, orbit_profile = orbits_mod.in_D_phi, orbits_mod.orbit_profile
     maps: list[SelfMap] = list(_corpus(cfg))
     for n in range(1, cfg.n_max + 1):
         maps += _tables(n)
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(11)
-        finite = [orbits_mod.orbit_profile(sm, a).finite for a in pts]  # each point's class
+        finite = [orbit_profile(sm, a).finite for a in pts]  # each point's class
         for istar in _subsets_upto(pts, 3):
-            if not orbits_mod.in_D_phi(sm, istar):
+            if not in_D_phi(sm, istar):
                 continue
-            classes = {finite[a] for a in istar}
-            rec.check(len(classes) == 1, sm, istar=istar)
+            if len({finite[a] for a in istar}) == 1:
+                rec.instances += 1
+            else:
+                rec.fail(sm, istar=istar)
     return rec
 
 
@@ -474,17 +489,25 @@ def _check_shared_point_minimality(cfg: SuiteConfig) -> _Recorder:
 
 def _check_quasi_oracle(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
+    internal = quasi_mod.internal_quasi_invariant
+    external = quasi_mod.external_quasi_invariant
     for n in range(1, cfg.n_max + 1):
         sets = []
         for mask in range(1, 1 << n):
             lam = tuple(x for x in range(n) if mask >> x & 1)
             bits = [1 << x for x in lam]
-            # the masks of the removal sets of each size up to two, by size
-            removals = [[sum(p) for p in itertools.combinations(bits, size)] for size in range(3)]
-            sets.append((mask, lam, bits, removals))
+            # each removal set of up to two points, as the sorted tuple a
+            # witness lists, and its mask
+            removal = {
+                combo: sum(1 << x for x in combo)
+                for size in range(3)
+                for combo in itertools.combinations(lam, size)
+            }
+            # and the set's memo: escape mask -> fewest removals
+            sets.append((mask, lam, bits, removal, {}))
         for sm in _tables(n):
             table = sm.table
-            for mask, lam, bits, removals in sets:
+            for mask, lam, bits, removal, fewest_of in sets:
                 # escapes: the points of lam whose image leaves it; img: the image
                 esc = img = 0
                 for x, bit in zip(lam, bits):
@@ -493,24 +516,27 @@ def _check_quasi_oracle(cfg: SuiteConfig) -> _Recorder:
                     if not y & mask:
                         esc |= bit
                 excess = (img & ~mask).bit_count()
-                # independent route: enumerate removal sets by size for the fewest
-                # removals (up to two) after which no image escapes
-                fewest = next(
-                    (
-                        size
-                        for size, masks in enumerate(removals)
-                        if any(esc & ~removed == 0 for removed in masks)
-                    ),
-                    3,
-                )
+                fewest = fewest_of.get(esc)
+                if fewest is None:
+                    # independent route: enumerate removal sets for the fewest
+                    # removals (up to two) after which no image escapes
+                    fewest = fewest_of[esc] = min(
+                        (len(c) for c, removed in removal.items() if esc & ~removed == 0),
+                        default=3,
+                    )
                 for k in range(3):
-                    rep_i = quasi_mod.internal_quasi_invariant(sm, lam, k)
-                    rep_e = quasi_mod.external_quasi_invariant(sm, lam, k)
+                    rep_i = internal(sm, lam, k)
+                    rep_e = external(sm, lam, k)
                     ok = rep_i.holds == (fewest <= k) and rep_e.holds == (excess <= k)
                     if rep_i.holds:
-                        removed = sum(bit for x, bit in zip(lam, bits) if x in rep_i.witness)
-                        ok = ok and len(rep_i.witness) <= k and esc & ~removed == 0
-                    rec.check(ok, sm, lam=lam, k=k)
+                        # a removal set of at most k points after which nothing escapes
+                        removed = removal.get(rep_i.witness)
+                        ok = ok and removed is not None and len(rep_i.witness) <= k
+                        ok = ok and esc & ~removed == 0
+                    if ok:
+                        rec.instances += 1
+                    else:
+                        rec.fail(sm, lam=lam, k=k)
     return rec
 
 
@@ -670,6 +696,7 @@ def _check_strict_classifier(cfg: SuiteConfig) -> _Recorder:
 
 def _check_superset_union(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
+    union, closure = supersets_mod.build_G_orbit_union, supersets_mod.check_superset_closure
     for n in range(1, cfg.n_max + 1):
         # the points of each nonempty mask, at index mask - 1
         members = [tuple(x for x in range(n) if mask >> x & 1) for mask in range(1, 1 << n)]
@@ -685,15 +712,17 @@ def _check_superset_union(cfg: SuiteConfig) -> _Recorder:
                 imask = -gmask & gmask
                 while imask:
                     istar = members[imask - 1]
-                    rebuilt = supersets_mod.build_G_orbit_union(sm, istar, g)
-                    rec.check(rebuilt == g, sm, istar=istar, g=g)
+                    if union(sm, istar, g) == g:
+                        rec.instances += 1
+                    else:
+                        rec.fail(sm, istar=istar, g=g)
                     imask = (imask - gmask) & gmask
             # forward direction: every orbit union is closed and contains its seed
             for istar in members:
-                built = supersets_mod.build_G_orbit_union(sm, istar)
-                rec.check(
-                    supersets_mod.check_superset_closure(sm, istar, built), sm, istar=istar
-                )
+                if closure(sm, istar, union(sm, istar)):
+                    rec.instances += 1
+                else:
+                    rec.fail(sm, istar=istar)
     return rec
 
 

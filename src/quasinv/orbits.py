@@ -546,6 +546,8 @@ class TableOrbit:
 
     def point_at(self, k: int) -> int:
         mu = self.mu
+        if k < 0:
+            raise ValueError(f"no point at step {k}")
         if k >= mu:
             return self._cycle[self._at + (k - mu) % (self.length - mu)]
         return self._parts(k, k + 1)[0][0]
@@ -672,6 +674,8 @@ class OrbitProfile:
         return self.hitting(y) is not None
 
     def point_at(self, k: int) -> int:
+        if k < 0:
+            raise ValueError(f"no point at step {k}")
         if self.finite and k >= self.length:
             k = self.mu + (k - self.mu) % (self.length - self.mu)
         if not self.runs or k < self.runs[0].base:
@@ -874,16 +878,18 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
         cert = DriftCertificate(tail.v0, tail.phases.residues, tail.phases.drift)
         cert.validate(sm)
         return OrbitResult(certificate=cert)
-    seq = prof.seq
-    k = walked = 0  # the step reached, and how many walked points lie before it
-    for first, k, i, run in prof._segments():
-        if run is None:
-            _check_walked_links(sm, seq[i : i + k - first], prof.point_at(k))
-            walked += k - first
-        else:
-            _check_run_links(sm, run, prof.point_at(k))
+    seq, segs = prof.seq, list(prof._segments())
+    walked = sum(end - first for first, end, _, run in segs if run is None)
     # every step lies in one segment, and every walked point in a walked one
-    assert len(seq) - walked == n - k == 0
+    assert len(seq) - walked == n - segs[-1][1] == 0
+    nxt = prof.point_at(mu)  # the last segment links back to the cycle's first point
+    for first, end, i, run in reversed(segs):  # each links into the one after it
+        if run is None:
+            _check_walked_links(sm, seq[i : i + end - first], nxt)
+            nxt = seq[i]
+        else:
+            _check_run_links(sm, run, nxt)
+            nxt = run.at(0)
     return OrbitResult(Listing(prof, 0, mu), Listing(prof, mu, n))
 
 
@@ -1102,7 +1108,8 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
     """
     if not istar:
         raise ValueError("xi needs a nonempty set")
-    istar = tuple(dict.fromkeys(istar))
+    if istar.__class__ is not tuple or len(set(istar)) < len(istar):
+        istar = tuple(dict.fromkeys(istar))
     if isinstance(sm, FiniteTable):
         sm._table_on(istar)
         return _table_xi(table_graph(sm), istar)
@@ -1157,26 +1164,31 @@ def _table_xi(g: TableGraph, istar: tuple[int, ...]) -> XiResult | None:
     tie goes to the smallest point.
     """
     comp, depth, pos = g.comp, g.depth, g.pos
-    if len({comp[a] for a in istar}) > 1:
-        return None
     z = istar[0]
+    c = comp[z]
+    for a in istar:
+        if comp[a] != c:
+            return None
     for a in istar[1:]:
         if not depth[z]:
             break
         z = g.meet(z, a)
     if depth[z]:
         return XiResult(z, {a: depth[a] - depth[z] for a in istar})
-    cycle = g.cycles[comp[z]]
+    cycle = g.cycles[c]
     period, k = len(cycle) // 2, len(istar)
-    qs = sorted(pos[a] for a in istar)
-    cost = sum((qs[-1] - q) % period for q in qs)
-    prev, sums = qs[-1] - period, []
+    qs = sorted(map(pos.__getitem__, istar))
+    last = qs[-1]
+    # the sum at the last entry position: each q lies in [0, period), so
+    # (last - q) % period is last - q
+    cost, prev = k * last - sum(qs), last - period
+    best = w = wq = None  # the least (cost, point) so far, and its position
     for q in qs:
         cost += k * (q - prev) - period
         prev = q
-        sums.append((cost, cycle[q], q))
-    _, w, q = min(sums)
-    return XiResult(w, {a: depth[a] + (q - pos[a]) % period for a in istar})
+        if best is None or cost < best or (cost == best and cycle[q] < w):
+            best, w, wq = cost, cycle[q], q
+    return XiResult(w, {a: depth[a] + (wq - pos[a]) % period for a in istar})
 
 
 def in_D_phi(sm: SelfMap, istar: Iterable[int]) -> bool:

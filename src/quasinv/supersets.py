@@ -85,7 +85,7 @@ def build_G_orbit_union(
 def check_superset_closure(sm: SelfMap, istar: Iterable[int], g_value: Iterable[int]) -> bool:
     """True iff ``istar`` is contained in the set and the set's image stays inside."""
     g = set(g_value)
-    if not set(istar) <= g:
+    if not g.issuperset(istar):
         return False
     f = sm._table_on(g).__getitem__ if isinstance(sm, FiniteTable) else sm
     return g.issuperset(map(f, g))

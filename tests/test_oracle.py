@@ -129,6 +129,11 @@ def _external_strict_bound(sm, lam, k):
     return QuasiInvarianceReport(len(excess) < k, "external", excess)  # should be <=
 
 
+def _internal_witness_drops_largest(sm, lam, k, real=quasi_mod.internal_quasi_invariant):
+    rep = real(sm, lam, k)
+    return rep._replace(witness=rep.witness[:-1]) if rep.holds else rep
+
+
 def _xi_hitting_times_off_by_one(sm, istar, real=orbits_mod.xi):
     res = real(sm, istar)
     if res is None:
@@ -160,6 +165,10 @@ def _union_drops_largest(sm, istar, h=(), real=supersets_mod.build_G_orbit_union
 ROUTE_MUTANTS = {
     "external bound strict": (
         quasi_mod, "external_quasi_invariant", _external_strict_bound,
+        "quasi-invariance-oracle", {"n_max": 3},
+    ),
+    "internal witness drops its largest escape": (
+        quasi_mod, "internal_quasi_invariant", _internal_witness_drops_largest,
         "quasi-invariance-oracle", {"n_max": 3},
     ),
     "xi hitting times off by one": (

@@ -419,8 +419,11 @@ def test_listing_limit_is_inclusive(monkeypatch):
     ],
 )
 def test_points_rejects_a_negative_count(sm, x):
+    prof = orbit_profile(sm, x)
     with pytest.raises(ValueError):
-        orbit_profile(sm, x).points(-1)
+        prof.points(-1)
+    with pytest.raises(ValueError):  # and a negative step
+        prof.point_at(-1)
 
 
 # 0 -> 1 -> ... -> 5 -> 0, and 6 + j -> j + 1: each point of the cycle has a
@@ -611,6 +614,24 @@ def test_orbit_rejects_a_corrupt_profile_with_runs(monkeypatch, sm, x, mutate):
         orbit(sm, x)
 
 
+def test_orbit_walks_its_segments_once(monkeypatch):
+    # 0 -> 10^6, then down by one: from 100 a run down to 1, 0 walked, and
+    # a run from 10^6 down to 101
+    sm = DescribedNatMap((10**6,), 1, (-1,))
+    prof = orbit_profile(sm, 100)
+    assert len(prof.runs) == 2 and len(list(prof._segments())) == 3
+    real, calls = orbits_mod.OrbitProfile._segments, []
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(orbits_mod.OrbitProfile, "_segments", counted)
+    orbit(sm, 100)
+    # one pass checks the links, and point_at(mu) reads the closing link's target
+    assert len(calls) == 2
+
+
 def test_descent_closing_inside_an_earlier_run():
     # 0 -> 10^6, then down by one: from 100 the orbit descends to 0, jumps to
     # 10^6 and descends again into its own start
@@ -687,6 +708,19 @@ LARGE_START_CASES = [
     (DescribedNatMap((10**18,), 1, (-1,)), (0, 3), 0, (0, 3)),
     (DescribedNatMap((10**18,), 1, (-1,)), (7, 3), 3, (4, 0)),
 ]
+
+
+@pytest.mark.parametrize(
+    "sm, a, b",
+    [
+        (FiniteTable((1, 2, 0)), 0, 1),  # 0 counted twice would tie 1 with 0
+        (DescribedNatMap((1, 2, 0), 1, (1,)), 0, 1),  # the same cycle on the naturals
+    ],
+)
+def test_xi_counts_a_repeated_point_once(sm, a, b):
+    z = xi(sm, (a, b, a))
+    assert z == xi(sm, (a, b)) == xi(sm, [a, b, a]) and z.point == 1
+    assert list(z.hitting_times) == [a, b]  # in first-seen order
 
 
 @pytest.mark.parametrize("sm, istar, point, times", LARGE_START_CASES)
