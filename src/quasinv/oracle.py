@@ -62,17 +62,28 @@ def _images(sm: SelfMap, bound: int) -> list[int]:
     return [sm(x) for x in range(bound + 1)]
 
 
+def _interval_escapes(sm: SelfMap, bound: int) -> list[tuple[int, int, list[int]]]:
+    """Every subinterval [lo, hi] of [0, bound], in (lo, hi) order, with its
+    escaping points: those whose image leaves it."""
+    img = _images(sm, bound)
+    return [
+        (lo, hi, [x for x in range(lo, hi + 1) if not lo <= img[x] <= hi])
+        for lo in range(bound + 1)
+        for hi in range(lo, bound + 1)
+    ]
+
+
 def brute_force_interval_w(sm: DescribedNatMap, bound: int) -> Optional[tuple[int, int]]:
     """First subinterval of [0, bound] admitting no removal witness, or None."""
-    img = _images(sm, bound)
-    for lo in range(bound + 1):
-        for hi in range(lo, bound + 1):
-            pts = range(lo, hi + 1)
-            if not any(
-                all(lo <= img[x] <= hi for x in pts if x != a) for a in pts
-            ):
-                return (lo, hi)
-    return None
+    return _first_unwitnessed(_interval_escapes(sm, bound))
+
+
+def _first_unwitnessed(escapes: list[tuple[int, int, list[int]]]) -> Optional[tuple[int, int]]:
+    """The first interval of ``escapes`` (``_interval_escapes``) that admits
+    no removal witness, or None.  A point a is a witness iff every point but
+    a stays inside, that is iff every escaping point is a; so an interval
+    has none iff two or more of its points escape."""
+    return next(((lo, hi) for lo, hi, esc in escapes if len(esc) > 1), None)
 
 
 class _Walk:
@@ -457,28 +468,39 @@ def _check_full_orbit_cofinite(cfg: SuiteConfig) -> _Recorder:
 
 def _check_shared_point_minimality(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
+    xi, orbit_profile = orbits_mod.xi, orbits_mod.orbit_profile
     maps: list[SelfMap] = list(_corpus(cfg))
     maps += _tables(min(cfg.n_max, 3))
     for sm in maps:
         pts = range(sm.size) if isinstance(sm, FiniteTable) else range(9)
         walks = {a: _Walk(sm, a) for a in pts}
+        ups: dict[tuple[int, int], frozenset[int]] = {}  # (point, bound) -> its orbit up to bound
+
+        def up(a: int, bound: int) -> frozenset[int]:
+            if (a, bound) not in ups:
+                ups[a, bound] = orbit_profile(sm, a).points_upto(bound)
+            return ups[a, bound]
+
         for istar in _subsets_upto(pts, 3):
-            z = orbits_mod.xi(sm, istar)
+            z = xi(sm, istar)
             if z is None:
                 continue
             bound = max(60, z.point + 20)
-            common = frozenset.intersection(
-                *(orbits_mod.orbit_profile(sm, a).points_upto(bound) for a in istar)
-            )
+            common = frozenset.intersection(*[up(a, bound) for a in istar])
             # a finite orbit that closes before meeting a common point fails
             ok = z.point in common and all(walks[a].reaches(common) for a in istar)
             if ok:
-                cost = {c: sum(walks[a].first[c] for a in istar) for c in common}
-                zc = cost[z.point]
-                ok = zc == sum(z.hitting_times.values()) and all(
-                    zc < cost[c] or (zc == cost[c] and z.point <= c) for c in common
+                # the least (total first-visit step, point) over the common
+                # points; every pass over the frozenset yields one order
+                steps = [map(walks[a].first.__getitem__, common) for a in istar]
+                ok = min(zip(map(sum, zip(*steps)), common)) == (
+                    sum(z.hitting_times.values()),
+                    z.point,
                 )
-            rec.check(ok, sm, istar=istar, point=z.point)
+            if ok:
+                rec.instances += 1
+            else:
+                rec.fail(sm, istar=istar, point=z.point)
     return rec
 
 
@@ -629,7 +651,8 @@ def _check_interval_classifier(cfg: SuiteConfig) -> _Recorder:
     rec = _Recorder()
     bound = 30
     for sm in _corpus(cfg):
-        bad = brute_force_interval_w(sm, bound)
+        escapes = _interval_escapes(sm, bound)
+        bad = _first_unwitnessed(escapes)
         res = classify_mod.classify_intervals_1qi(sm)
         if (bad is None) != (res is not None):
             rec.check(False, sm, oracle_failure=bad, classified=res is not None)
@@ -637,19 +660,12 @@ def _check_interval_classifier(cfg: SuiteConfig) -> _Recorder:
         if res is None:
             rec.check(True, sm)
             continue
-        _, sel = res
-        img = _images(sm, bound)
-        ok = True
-        for lo in range(bound + 1):
-            for hi in range(lo, bound + 1):
-                w = sel.choose(lo, hi)
-                if not lo <= w <= hi or any(
-                    not lo <= img[x] <= hi for x in range(lo, hi + 1) if x != w
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
+        # w is a witness iff it lies in the interval and every escaping point is w
+        choose = res[1].choose
+        ok = all(
+            lo <= (w := choose(lo, hi)) <= hi and all(x == w for x in esc)
+            for lo, hi, esc in escapes
+        )
         rec.check(ok, sm)
     return rec
 

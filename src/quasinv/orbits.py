@@ -882,7 +882,8 @@ def orbit(sm: SelfMap, x: int) -> OrbitResult:
     walked = sum(end - first for first, end, _, run in segs if run is None)
     # every step lies in one segment, and every walked point in a walked one
     assert len(seq) - walked == n - segs[-1][1] == 0
-    nxt = prof.point_at(mu)  # the last segment links back to the cycle's first point
+    # the last segment links back to step mu, the cycle's first
+    nxt = next(seq[i + mu - a] if r is None else r.at(mu - a) for a, b, i, r in segs if mu < b)
     for first, end, i, run in reversed(segs):  # each links into the one after it
         if run is None:
             _check_walked_links(sm, seq[i : i + end - first], nxt)
@@ -1069,14 +1070,6 @@ class XiResult:
     hitting_times: dict[int, int]
 
 
-def _on_all(profs: list[OrbitProfile], y: int) -> bool:
-    """Is y on every orbit of ``profs``?"""
-    for p in profs:
-        if p.hitting(y) is None:
-            return False
-    return True
-
-
 def _tails_meet(r: _Run, s: _Run) -> bool:
     """Do the infinite orbits with tail runs ``r`` and ``s`` meet?  Iff
     one run's first point lies on the other (the lemma in ``xi``'s
@@ -1113,19 +1106,25 @@ def xi(sm: SelfMap, istar: tuple[int, ...]) -> XiResult | None:
     if isinstance(sm, FiniteTable):
         sm._table_on(istar)
         return _table_xi(table_graph(sm), istar)
-    profs = [orbit_profile(sm, a) for a in istar]
-    finiteness = {p.finite for p in profs}
-    if len(finiteness) > 1:
-        # a finite orbit consists of finite-orbit points only, an infinite
-        # orbit of infinite-orbit points only; no overlap is possible
-        return None
-    if finiteness == {False}:
+    profs = [_described_profile(sm, a) for a in istar]
+    finite = profs[0].finite
+    for p in profs:
+        if p.finite is not finite:
+            # a finite and an infinite orbit never meet: each holds points of its class only
+            return None
+    if not finite:
+        for a in istar:  # a point of istar on every orbit is z
+            times = []
+            for p in profs:
+                t = p.hitting(a)
+                if t is None:
+                    break
+                times.append(t)
+            else:
+                return XiResult(a, dict(zip(istar, times)))
         t0 = profs[0].tail_run
         if not all(_tails_meet(t0, p.tail_run) for p in profs[1:]):
             return None
-        best = next((a for a in istar if _on_all(profs, a)), None)
-        if best is not None:
-            return XiResult(best, {a: p.hitting(best) for a, p in zip(istar, profs)})
     key, best_times = None, None  # the least (sum of hitting times, start) so far
     for s in set(itertools.chain.from_iterable(p.starts() for p in profs)):
         times = []
@@ -1209,9 +1208,10 @@ def in_D_phi(sm: SelfMap, istar: Iterable[int]) -> bool:
         sm._table_on(istar)
         comp = table_graph(sm).comp
         return len({comp[a] for a in istar}) == 1
-    first, *rest = [orbit_profile(sm, a) for a in istar]
-    if any(p.finite != first.finite for p in rest):
-        return False
+    first, *rest = [_described_profile(sm, a) for a in istar]
+    for p in rest:
+        if p.finite is not first.finite:
+            return False
     if first.finite:
         entry = first.point_at(first.mu)
         return all(entry in p for p in rest)

@@ -448,11 +448,11 @@ def decompose_HHH(sm: SelfMap, g_value: Iterable[int], v_value: int) -> HDecompo
     g = sorted(set(g_value))
     if v_value not in g:
         raise StructureViolation(f"removal point {v_value} is not in the superset")
-    profs = {a: orbit_profile(sm, a) for a in g}
-    h = tuple(a for a in g if not profs[a].finite)
-    fin = [a for a in g if profs[a].finite]
-    h_bar = tuple(a for a in fin if v_value in profs[a])
-    h_tilde = tuple(a for a in fin if v_value not in profs[a])
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])  # h, h_bar, h_tilde
+    for a in g:
+        prof = orbit_profile(sm, a)
+        parts[0 if not prof.finite else 1 if v_value in prof else 2].append(a)
+    h, h_bar, h_tilde = map(tuple, parts)
 
     if h:
         if h_bar:
@@ -504,24 +504,40 @@ def _orbit_solution(sm: SelfMap, mode: str, description: str) -> PSolution:
     """Orbit unions for finite-orbit points, segments of the infinite-orbit
     points to their shared point, which is the removal point (or the smallest
     queried point when every orbit is finite).  Variant two asserts that the
-    shared point lies in the queried set."""
+    shared point lies in the queried set.
 
-    def split(pts: tuple[int, ...]) -> tuple[list[int], list[int], Optional[int]]:
+    ``G`` and ``u`` share a one-entry memo: the last normalized set either
+    was asked about, and its split.  Callers ask ``u`` about the set ``G``
+    just asked about, or the other way round, so the second of the two runs
+    no second ``xi``.  The memo is one tuple, rebound whole, so threads
+    sharing a solution never pair one set with another set's split."""
+    memo: tuple = ((), None)  # (normalized set, its split); no set normalizes to ()
+
+    def split(istar: Iterable[int]) -> tuple[int, list[int], list[int], Optional[int]]:
+        """The set's least point, its infinite- and finite-orbit points,
+        and the infinite-orbit points' shared point (None when there are none)."""
+        nonlocal memo
+        pts = _normalize(istar)
+        last_pts, last = memo
+        if last_pts == pts:
+            return last
         inf, fin = _split_by_orbit(sm, pts)
-        if not inf:
-            return inf, fin, None
-        z = xi(sm, tuple(inf))
-        assert z is not None and (mode == "P1" or z.point in pts)
-        return inf, fin, z.point
+        v = None
+        if inf:
+            z = xi(sm, tuple(inf))
+            assert z is not None and (mode == "P1" or z.point in pts)
+            v = z.point
+        last = pts[0], inf, fin, v
+        memo = pts, last
+        return last
 
     def g_sel(istar: Iterable[int]) -> tuple[int, ...]:
-        inf, fin, v = split(_normalize(istar))
+        _, inf, fin, v = split(istar)
         return orbit_union(sm, fin, inf, v)
 
     def u_sel(istar: Iterable[int]) -> int:
-        pts = _normalize(istar)
-        v = split(pts)[2]
-        return pts[0] if v is None else v
+        low, _, _, v = split(istar)
+        return low if v is None else v
 
     return PSolution(mode, g_sel, u_sel, description)
 

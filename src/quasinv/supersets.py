@@ -23,8 +23,9 @@ def orbit_union(
     """The whole orbits of ``whole`` plus the orbit segments of ``cut`` up to
     ``v``, sorted.
 
-    A start already in the union of whole orbits adds nothing, since that
-    union is closed under the map, so it is skipped.  Raises
+    A start already in the union adds nothing, so it is skipped: the union
+    of whole orbits is closed under the map, and a segment's points lead to
+    v along it.  Raises
     InfiniteOrbitError on a start of ``whole`` with an infinite orbit, and
     OrbitTooLong when an orbit or a segment has more than MAX_LISTED_POINTS
     points.  A finite table's union is walked in the table (``_table_union``).
@@ -43,32 +44,38 @@ def orbit_union(
         prof = orbit_profile(sm, a)
         k = prof.hitting(v)
         assert k is not None, "a segment must end on its orbit"
-        pts.update(prof.points(k + 1))
+        if a not in pts:
+            pts.update(*prof._parts(0, k + 1))
     return tuple(sorted(pts))
+
+
+def _table_walk(table: tuple[int, ...], pts: set[int], starts: Iterable[int]) -> None:
+    """Add to ``pts`` each start's orbit in ``table`` up to the first point
+    already in ``pts``: the one walk of both table unions."""
+    for a in starts:
+        while a not in pts:
+            pts.add(a)
+            a = table[a]
 
 
 def _table_union(
     sm: FiniteTable, whole: Iterable[int], cut: Iterable[int] = (), v: Optional[int] = None
 ) -> tuple[int, ...]:
-    """``orbit_union`` on a finite table: each walk stops at v or at a point
-    already in the union.  From such a point the rest of a whole orbit is in
-    the union, which holds that point's whole orbit or its segment up to v;
-    the rest of a segment is in it too, since a segment's points before v
-    lead to v first."""
+    """``orbit_union`` on a finite table.  A walk that meets a point already
+    in the union stops: the rest of a whole orbit is in the union, which
+    holds that point's whole orbit or its segment up to v, and so is the
+    rest of a segment, since a segment's points before v lead to v first.
+    Every segment ends at v, so v joins the union before the segments are
+    walked, and each segment's walk stops there at the latest."""
     whole, cut = tuple(whole), tuple(cut)
     table = sm._table_on(whole + cut)
     pts: set[int] = set()
-    for a in whole:
-        while a not in pts:
-            pts.add(a)
-            a = table[a]
-    for a in cut:
-        assert table_graph(sm).hitting(a, v) is not None, "a segment must end on its orbit"
-        while a not in pts:
-            pts.add(a)
-            if a == v:
-                break
-            a = table[a]
+    _table_walk(table, pts, whole)
+    if cut:
+        for a in cut:
+            assert table_graph(sm).hitting(a, v) is not None, "a segment must end on its orbit"
+        pts.add(v)
+        _table_walk(table, pts, cut)
     return tuple(sorted(pts))
 
 
@@ -78,7 +85,10 @@ def build_G_orbit_union(
     """Union of the orbits over ``istar`` and ``h``; invariant and contains
     ``istar``.  A finite table's is walked in the table directly."""
     if isinstance(sm, FiniteTable):
-        return _table_union(sm, (*istar, *h))
+        starts = (*istar, *h)
+        pts: set[int] = set()
+        _table_walk(sm._table_on(starts), pts, starts)
+        return tuple(sorted(pts))
     return orbit_union(sm, [*istar, *h])
 
 

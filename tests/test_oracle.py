@@ -61,6 +61,24 @@ def test_interval_oracle():
     assert brute_force_interval_w(named_corpus()["shift2"], 12) is not None
 
 
+def _literal_interval_w(sm, bound):
+    """The removal quantifier read literally: the first [lo, hi] for which no
+    point a of it keeps the image of every other point inside."""
+    for lo in range(bound + 1):
+        for hi in range(lo, bound + 1):
+            pts = range(lo, hi + 1)
+            if not any(all(lo <= sm(x) <= hi for x in pts if x != a) for a in pts):
+                return (lo, hi)
+    return None
+
+
+def test_interval_brute_force_matches_the_literal_quantifier():
+    maps = [*named_corpus().values(), *(random_described_map(seed) for seed in range(20))]
+    found = [brute_force_interval_w(sm, 12) for sm in maps]
+    assert found == [_literal_interval_w(sm, 12) for sm in maps]
+    assert None in found and any(found)  # both outcomes occur
+
+
 def test_random_map_deterministic_and_valid():
     a = random_described_map(1)
     b = random_described_map(1)
@@ -158,6 +176,14 @@ def _in_D_phi_accepts_mixed(sm, istar, real=orbits_mod.in_D_phi):
     return real(sm, istar) or len({orbits_mod.orbit_profile(sm, a).finite for a in istar}) > 1
 
 
+def _intervals_accept_shift2(sm, real=classify_mod.classify_intervals_1qi):
+    """Also classifies shift2, where [0, 1] has two escaping points, with
+    succ's classification."""
+    if sm == named_corpus()["shift2"]:
+        return real(named_corpus()["succ"])
+    return real(sm)
+
+
 def _union_drops_largest(sm, istar, h=(), real=supersets_mod.build_G_orbit_union):
     return real(sm, istar, h)[:-1]
 
@@ -182,6 +208,10 @@ ROUTE_MUTANTS = {
     "in_D_phi accepts mixed orbit classes": (
         orbits_mod, "in_D_phi", _in_D_phi_accepts_mixed,
         "shared-point-class-purity", {"n_max": 3, "samples": 10},
+    ),
+    "interval classifier accepts shift2": (
+        classify_mod, "classify_intervals_1qi", _intervals_accept_shift2,
+        "interval-classifier-oracle", {"samples": 10},
     ),
     "interval selector returns lo": (
         classify_mod.IntervalWitnessSelector, "choose", lambda self, lo, hi: lo,

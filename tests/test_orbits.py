@@ -628,8 +628,8 @@ def test_orbit_walks_its_segments_once(monkeypatch):
 
     monkeypatch.setattr(orbits_mod.OrbitProfile, "_segments", counted)
     orbit(sm, 100)
-    # one pass checks the links, and point_at(mu) reads the closing link's target
-    assert len(calls) == 2
+    # one pass lists the segments: the links and the closing link's target read them
+    assert len(calls) == 1
 
 
 def test_descent_closing_inside_an_earlier_run():

@@ -38,7 +38,7 @@ from quasinv.orbits import (
     table_graph,
     tail_structure,
 )
-from quasinv.oracle import enumerate_finite_maps
+from quasinv.oracle import enumerate_finite_maps, named_corpus
 from quasinv.psolve import (
     SCOPE_ALL,
     SCOPE_INFINITE,
@@ -469,6 +469,28 @@ def test_solutions_verify_on_samples():
                 if isinstance(sm, FiniteTable) and max(istar) >= sm.size:
                     continue
                 assert check_P(mode, sm, sol.G(istar), sol.u(istar), istar), (mode, istar)
+
+
+def test_selectors_share_a_memo_of_the_last_set():
+    # G and u keep the last normalized set and its split: a query about
+    # another set, or the same set in another order or with repeats, must
+    # answer as a fresh solution does
+    sets = [(0,), (3,), (0, 1), (2, 5), (1, 3, 4), (6, 0, 2)]
+    for name, sm in named_corpus().items():
+        for solver in (solve_P1, solve_P2):
+            sol = solver(sm)
+            if sol is None:
+                continue
+            for s1 in sets:
+                for s2 in sets:
+                    sol.G(s1)
+                    assert sol.u(s2) == solver(sm).u(s2), (name, s1, s2)
+                    sol.u(s1)
+                    assert sol.G(s2) == solver(sm).G(s2), (name, s1, s2)
+            for s in sets:
+                shuffled = (*reversed(s), *s)
+                assert sol.G(shuffled) == sol.G(s) == solver(sm).G(s), (name, s)
+                assert sol.u(s) == sol.u(shuffled) == solver(sm).u(s), (name, s)
 
 
 def test_full_orbit():
